@@ -19,27 +19,25 @@ std::size_t RoundUpPow2(std::size_t v) {
 }  // namespace
 
 DegradedTier::DegradedTier(const DegradedTierOptions& options)
-    : options_(options),
-      // Popularity only steers cache admission, so its geometry tracks the
+    : // Popularity only steers cache admission, so its geometry tracks the
       // cache: enough buckets that hot patterns rarely fight for one.
       popularity_(std::max<std::size_t>(64, options.cache_capacity * 2), 2,
                   1.08, options.seed ^ 0x9E3779B97F4A7C15ULL) {
-  if (options_.cache_capacity > 0) {
-    cache_.resize(RoundUpPow2(options_.cache_capacity));
+  if (options.cache_capacity > 0) {
+    cache_.resize(RoundUpPow2(options.cache_capacity));
   }
-  if (options_.sketch_width > 0 && options_.sketch_depth > 0 &&
-      options_.max_sketched_keys > 0) {
-    width_ = RoundUpPow2(options_.sketch_width);
-    depth_ = options_.sketch_depth;
+  if (options.sketch_width > 0 && options.sketch_depth > 0 &&
+      options.max_sketched_keys > 0) {
+    width_ = RoundUpPow2(options.sketch_width);
+    depth_ = options.sketch_depth;
     epsilon_ = kEuler / static_cast<double>(width_);
-    u64 seed_state = options_.seed;
+    u64 seed_state = options.seed;
     row_seeds_.resize(depth_);
     for (std::size_t row = 0; row < depth_; ++row) {
       row_seeds_[row] = Rng::SplitMix64(&seed_state);
     }
-    cms_utility_.assign(width_ * depth_, 0.0);
-    cms_occurrences_.assign(width_ * depth_, 0);
-    seen_.assign(RoundUpPow2(options_.max_sketched_keys) * 2, 0);
+    cms_.assign(width_ * depth_, CmsCell{});
+    seen_.assign(RoundUpPow2(options.max_sketched_keys) * 2, SeenSlot{});
     seen_cap_ = seen_.size() - seen_.size() / 8;  // stop at 7/8 occupancy
   }
 }
@@ -72,6 +70,31 @@ void DegradedTier::RecordExact(const PatternKey& key,
     return;
   }
   std::lock_guard<std::mutex> lock(mu_, std::adopt_lock);
+  RecordLocked(key, hash, result);
+}
+
+void DegradedTier::RecordExact(const PatternKey& key,
+                               const QueryResult& result, u64 epoch) {
+  if (epoch != epoch_.load(std::memory_order_acquire)) {
+    stale_drops_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  const u64 hash = HashPatternKey(key);
+  if (!mu_.try_lock()) {
+    record_drops_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mu_, std::adopt_lock);
+  // Recheck under the lock: a Clear() may have landed since the first look.
+  if (epoch != epoch_.load(std::memory_order_relaxed)) {
+    stale_drops_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  RecordLocked(key, hash, result);
+}
+
+void DegradedTier::RecordLocked(const PatternKey& key, u64 hash,
+                                const QueryResult& result) {
   ++records_;
   const u32 popularity = popularity_.Insert(hash);
   if (!cache_.empty()) CacheUpsertLocked(key, hash, result, popularity);
@@ -80,10 +103,12 @@ void DegradedTier::RecordExact(const PatternKey& key,
   // additive-overestimate bound relative to the inserted mass. Negative
   // utilities would break the one-sided guarantee, so they stay cache-only.
   if (width_ != 0 && result.utility >= 0 && SeenInsertLocked(hash)) {
+    const u64 epoch = epoch_.load(std::memory_order_relaxed);
     for (std::size_t row = 0; row < depth_; ++row) {
-      const std::size_t bucket = CmsBucket(hash, row);
-      cms_utility_[bucket] += result.utility;
-      cms_occurrences_[bucket] += static_cast<u32>(result.occurrences);
+      CmsCell& cell = cms_[CmsBucket(hash, row)];
+      if (cell.epoch != epoch) cell = CmsCell{0, epoch, 0};
+      cell.utility += result.utility;
+      cell.occurrences += static_cast<u32>(result.occurrences);
     }
     sketch_mass_ += result.utility;
   }
@@ -105,12 +130,14 @@ bool DegradedTier::TryAnswer(const PatternKey& key, QueryResult* out) {
     return true;
   }
   if (width_ != 0 && SeenContainsLocked(hash)) {
-    double utility = cms_utility_[CmsBucket(hash, 0)];
-    u32 occurrences = cms_occurrences_[CmsBucket(hash, 0)];
+    // A sketched key wrote every one of its cells in this epoch, so all of
+    // them are live here.
+    double utility = cms_[CmsBucket(hash, 0)].utility;
+    u32 occurrences = cms_[CmsBucket(hash, 0)].occurrences;
     for (std::size_t row = 1; row < depth_; ++row) {
-      const std::size_t bucket = CmsBucket(hash, row);
-      utility = std::min(utility, cms_utility_[bucket]);
-      occurrences = std::min(occurrences, cms_occurrences_[bucket]);
+      const CmsCell& cell = cms_[CmsBucket(hash, row)];
+      utility = std::min(utility, cell.utility);
+      occurrences = std::min(occurrences, cell.occurrences);
     }
     out->utility = utility;
     out->occurrences = static_cast<index_t>(occurrences);
@@ -127,6 +154,7 @@ bool DegradedTier::TryAnswer(const PatternKey& key, QueryResult* out) {
 void DegradedTier::CacheUpsertLocked(const PatternKey& key, u64 hash,
                                      const QueryResult& result,
                                      u32 popularity) {
+  const u64 epoch = epoch_.load(std::memory_order_relaxed);
   const std::size_t mask = cache_.size() - 1;
   const std::size_t base = hash & mask;
   const std::size_t window = std::min(kProbeWindow, cache_.size());
@@ -136,7 +164,7 @@ void DegradedTier::CacheUpsertLocked(const PatternKey& key, u64 hash,
   for (std::size_t w = 0; w < window; ++w) {
     const std::size_t slot = (base + w) & mask;
     CacheSlot& entry = cache_[slot];
-    if (!entry.used) {
+    if (entry.epoch != epoch) {  // Empty, or left over from an old epoch.
       if (free_slot == cache_.size()) free_slot = slot;
       continue;
     }
@@ -153,7 +181,7 @@ void DegradedTier::CacheUpsertLocked(const PatternKey& key, u64 hash,
   }
   if (free_slot != cache_.size()) {
     cache_[free_slot] =
-        CacheSlot{key, result.utility, result.occurrences, popularity, true};
+        CacheSlot{key, result.utility, result.occurrences, popularity, epoch};
     ++cache_size_;
     return;
   }
@@ -161,7 +189,7 @@ void DegradedTier::CacheUpsertLocked(const PatternKey& key, u64 hash,
   // popular incumbent of its probe window when it is strictly hotter.
   if (popularity > victim_popularity) {
     cache_[victim] =
-        CacheSlot{key, result.utility, result.occurrences, popularity, true};
+        CacheSlot{key, result.utility, result.occurrences, popularity, epoch};
   }
 }
 
@@ -170,9 +198,10 @@ bool DegradedTier::CacheFindLocked(const PatternKey& key, u64 hash,
   const std::size_t mask = cache_.size() - 1;
   const std::size_t base = hash & mask;
   const std::size_t window = std::min(kProbeWindow, cache_.size());
+  const u64 epoch = epoch_.load(std::memory_order_relaxed);
   for (std::size_t w = 0; w < window; ++w) {
     CacheSlot& entry = cache_[(base + w) & mask];
-    if (!entry.used || !(entry.key == key)) continue;
+    if (entry.epoch != epoch || !(entry.key == key)) continue;
     out->utility = entry.utility;
     out->occurrences = entry.occurrences;
     return true;
@@ -181,25 +210,27 @@ bool DegradedTier::CacheFindLocked(const PatternKey& key, u64 hash,
 }
 
 bool DegradedTier::SeenInsertLocked(u64 hash) {
-  if (hash == 0) hash = 1;  // 0 marks an empty filter slot.
+  // Linear probing without deletions: within one epoch, a slot from an
+  // older epoch is exactly an empty slot, so it ends the chain.
+  const u64 epoch = epoch_.load(std::memory_order_relaxed);
   const std::size_t mask = seen_.size() - 1;
   std::size_t slot = static_cast<std::size_t>(hash) & mask;
-  while (seen_[slot] != 0) {
-    if (seen_[slot] == hash) return false;  // Already sketched.
+  while (seen_[slot].epoch == epoch) {
+    if (seen_[slot].hash == hash) return false;  // Already sketched.
     slot = (slot + 1) & mask;
   }
   if (seen_size_ >= seen_cap_) return false;  // Filter full: stop learning.
-  seen_[slot] = hash;
+  seen_[slot] = SeenSlot{hash, epoch};
   ++seen_size_;
   return true;
 }
 
 bool DegradedTier::SeenContainsLocked(u64 hash) const {
-  if (hash == 0) hash = 1;
+  const u64 epoch = epoch_.load(std::memory_order_relaxed);
   const std::size_t mask = seen_.size() - 1;
   std::size_t slot = static_cast<std::size_t>(hash) & mask;
-  while (seen_[slot] != 0) {
-    if (seen_[slot] == hash) return true;
+  while (seen_[slot].epoch == epoch) {
+    if (seen_[slot].hash == hash) return true;
     slot = (slot + 1) & mask;
   }
   return false;
@@ -207,16 +238,14 @@ bool DegradedTier::SeenContainsLocked(u64 hash) const {
 
 void DegradedTier::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::fill(cache_.begin(), cache_.end(), CacheSlot{});
+  // O(1): every stamped slot of the old epoch now reads as empty. Release
+  // pairs with epoch()'s acquire — a reader seeing the new epoch also sees
+  // whatever the caller published before calling Clear().
+  epoch_.store(epoch_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_release);
   cache_size_ = 0;
-  std::fill(seen_.begin(), seen_.end(), 0);
   seen_size_ = 0;
-  std::fill(cms_utility_.begin(), cms_utility_.end(), 0.0);
-  std::fill(cms_occurrences_.begin(), cms_occurrences_.end(), 0);
   sketch_mass_ = 0;
-  popularity_ = DecaySketch(
-      std::max<std::size_t>(64, options_.cache_capacity * 2), 2, 1.08,
-      options_.seed ^ 0x9E3779B97F4A7C15ULL);
 }
 
 DegradedTierStats DegradedTier::stats() const {
@@ -226,6 +255,8 @@ DegradedTierStats DegradedTier::stats() const {
   stats.cache_size = cache_size_;
   stats.records = records_;
   stats.record_drops = record_drops_.load(std::memory_order_relaxed);
+  stats.stale_drops = stale_drops_.load(std::memory_order_relaxed);
+  stats.epoch = epoch_.load(std::memory_order_relaxed);
   stats.lookups = lookups_;
   stats.cache_hits = cache_hits_;
   stats.sketch_answers = sketch_answers_;
@@ -242,9 +273,8 @@ DegradedTierStats DegradedTier::stats() const {
 std::size_t DegradedTier::SizeInBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cache_.capacity() * sizeof(CacheSlot) +
-         seen_.capacity() * sizeof(u64) +
-         cms_utility_.capacity() * sizeof(double) +
-         cms_occurrences_.capacity() * sizeof(u32) +
+         seen_.capacity() * sizeof(SeenSlot) +
+         cms_.capacity() * sizeof(CmsCell) +
          row_seeds_.capacity() * sizeof(u64) + popularity_.SizeInBytes();
 }
 

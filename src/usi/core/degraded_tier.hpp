@@ -22,10 +22,10 @@
 ///    query popularity, and a new pattern only displaces the least-popular
 ///    incumbent of its probe window when it is more popular. A hit replays
 ///    the exact utility the pattern was last served — bound 0 relative to
-///    the text content the tier learned from (the multi-service resets the
-///    tier when a text's content changes, so within one content version a
-///    cached answer equals the exact answer, to the same 64-bit-fingerprint
-///    identity standard the index's own hash table H uses).
+///    the text content the tier learned from. Content versions are
+///    tracked by a content epoch (below): within one epoch a cached answer
+///    equals the exact answer, to the same 64-bit-fingerprint identity
+///    standard the index's own hash table H uses.
 ///  * **Sketch** (AnswerProvenance::kApproximate): a count-min sketch over
 ///    served (fingerprint -> utility) mass. Each distinct pattern's exact
 ///    utility is added ONCE (an exact-membership filter of key hashes
@@ -39,6 +39,28 @@
 ///    sketch cannot bound an answer for them) — the tier returns false and
 ///    the serving layer writes a kNone filler slot.
 ///
+/// \par Content epochs
+/// The tier's answers describe one version of the text's content, named by
+/// a monotonically increasing 64-bit content epoch. Clear() starts a new
+/// version in O(1): it bumps the epoch and zeroes the live counts, touching
+/// no array and allocating nothing. Every cache slot, filter slot and
+/// count-min bucket carries the epoch it was last written in; a slot from
+/// an older epoch reads as empty and is reset by its next write, so the
+/// filter's linear-probe chains stay exact (every older slot terminates a
+/// chain, exactly as an empty one would). The stamps are 64-bit, so they
+/// never wrap and no physical reset exists. Popularity (the HeavyKeeper
+/// sketch) describes query traffic, not content, and survives Clear().
+///
+/// A record must describe the content of the epoch it lands in. The owner
+/// (UsiMultiService) follows two rules:
+///  * bump the epoch (Clear) only AFTER the new content is visible to
+///    readers;
+///  * read epoch() BEFORE pinning the content a batch serves, and record
+///    through RecordExact(key, result, epoch), which drops the record when
+///    that epoch is no longer current (counted as a stale drop).
+/// A batch that pinned old content therefore either records before the
+/// bump (and the bump invalidates it) or is dropped after it.
+///
 /// \par Exact-path cost
 /// RecordExact is called for every exactly-served query, so it is built to
 /// vanish from the hot path: all structures are fixed-capacity arrays sized
@@ -50,7 +72,8 @@
 ///
 /// \par Thread safety
 /// All members are safe to call concurrently; one mutex guards the
-/// structures (record = try_lock + drop, lookup = lock).
+/// structures (record = try_lock + drop, lookup = lock). epoch() is a
+/// lock-free atomic read.
 
 #include <atomic>
 #include <mutex>
@@ -87,6 +110,8 @@ struct DegradedTierStats {
   std::size_t cache_size = 0;
   u64 records = 0;         ///< Exact answers observed (post-drop).
   u64 record_drops = 0;    ///< Records dropped by try_lock contention.
+  u64 stale_drops = 0;     ///< Records dropped: tagged with an old epoch.
+  u64 epoch = 0;           ///< Current content epoch (bumps on Clear).
   u64 lookups = 0;         ///< Degraded-path consults.
   u64 cache_hits = 0;      ///< Lookups answered by the cache rung.
   u64 sketch_answers = 0;  ///< Lookups answered by the sketch rung.
@@ -119,10 +144,26 @@ class DegradedTier {
   /// it recorded itself).
   static PatternKey KeyFor(std::span<const Symbol> pattern);
 
+  /// The current content epoch (lock-free). Starts at 1; Clear() bumps it.
+  u64 epoch() const { return epoch_.load(std::memory_order_acquire); }
+
   /// Observes one exactly-served answer (the exact path calls this for
   /// every answered query). Never blocks: under lock contention the update
-  /// is dropped. Never allocates.
+  /// is dropped. Never allocates. Records into the current epoch.
   void RecordExact(const PatternKey& key, const QueryResult& result);
+
+  /// As above, for an answer computed against the content of \p epoch
+  /// (read with epoch() before that content was pinned): dropped, and
+  /// counted in stale_drops, unless \p epoch is still current. Checked
+  /// once lock-free, then again under the lock.
+  void RecordExact(const PatternKey& key, const QueryResult& result,
+                   u64 epoch);
+
+  /// Counts \p count records a caller skipped after seeing their epoch go
+  /// stale (a whole group's records, checked once before its loop).
+  void NoteStaleDrops(u64 count) {
+    stale_drops_.fetch_add(count, std::memory_order_relaxed);
+  }
 
   /// Degraded-path lookup: tries the cache rung then the sketch rung.
   /// On success writes utility/occurrences and tags \p out with
@@ -130,9 +171,10 @@ class DegradedTier {
   /// (\p out untouched). Never allocates.
   bool TryAnswer(const PatternKey& key, QueryResult* out);
 
-  /// Forgets everything (the owning text's content changed: recorded
-  /// answers and bounds no longer describe it). Cumulative telemetry
-  /// counters survive; structures and sketch mass reset.
+  /// Forgets every recorded answer (the owning text's content changed:
+  /// they and their bounds no longer describe it) by starting a new
+  /// content epoch. O(1) and allocation-free. Cumulative telemetry counters
+  /// and the popularity sketch survive; live counts and sketch mass reset.
   void Clear();
 
   /// Telemetry snapshot.
@@ -142,16 +184,30 @@ class DegradedTier {
   std::size_t SizeInBytes() const;
 
  private:
-  /// One answer-cache slot (open addressing, bounded probe window).
+  /// One answer-cache slot (open addressing, bounded probe window). Live
+  /// only when `epoch` is the tier's current epoch.
   struct CacheSlot {
     PatternKey key;
     double utility = 0;
     index_t occurrences = 0;
     u32 popularity = 0;  ///< HeavyKeeper estimate when last touched.
-    bool used = false;
+    u64 epoch = 0;       ///< Epoch of the last write (0 = never written).
+  };
+  /// One membership-filter slot: a key hash, live in its epoch only.
+  struct SeenSlot {
+    u64 hash = 0;
+    u64 epoch = 0;
+  };
+  /// One count-min bucket; reads as zero outside its epoch.
+  struct CmsCell {
+    double utility = 0;
+    u64 epoch = 0;
+    u32 occurrences = 0;
   };
   static constexpr std::size_t kProbeWindow = 8;
 
+  void RecordLocked(const PatternKey& key, u64 hash,
+                    const QueryResult& result);
   void CacheUpsertLocked(const PatternKey& key, u64 hash,
                          const QueryResult& result, u32 popularity);
   bool CacheFindLocked(const PatternKey& key, u64 hash, QueryResult* out);
@@ -161,31 +217,32 @@ class DegradedTier {
   bool SeenContainsLocked(u64 hash) const;
   std::size_t CmsBucket(u64 hash, std::size_t row) const;
 
-  DegradedTierOptions options_;
   mutable std::mutex mu_;
+  /// Content epoch: written only under mu_, read lock-free by epoch().
+  std::atomic<u64> epoch_{1};
 
   /// Query-popularity sketch feeding cache admission (HeavyKeeper).
   DecaySketch popularity_;
 
   std::vector<CacheSlot> cache_;  ///< Power-of-two slots; empty = disabled.
-  std::size_t cache_size_ = 0;
+  std::size_t cache_size_ = 0;    ///< Live slots.
 
   /// Single-insertion membership filter: open-addressed key-hash set.
-  std::vector<u64> seen_;
-  std::size_t seen_size_ = 0;
-  std::size_t seen_cap_ = 0;  ///< Admission stops here (~7/8 of slots).
+  std::vector<SeenSlot> seen_;
+  std::size_t seen_size_ = 0;  ///< Live slots.
+  std::size_t seen_cap_ = 0;   ///< Admission stops here (~7/8 of slots).
 
-  /// Utility / occurrence count-min arrays, width_ * depth_ each.
+  /// Utility / occurrence count-min cells, width_ * depth_.
   std::size_t width_ = 0;
   std::size_t depth_ = 0;
   double epsilon_ = 0;
   std::vector<u64> row_seeds_;
-  std::vector<double> cms_utility_;
-  std::vector<u32> cms_occurrences_;
+  std::vector<CmsCell> cms_;
   double sketch_mass_ = 0;
 
   u64 records_ = 0;
   std::atomic<u64> record_drops_{0};  ///< Bumped without the lock held.
+  std::atomic<u64> stale_drops_{0};   ///< Bumped without the lock held.
   u64 lookups_ = 0;
   u64 cache_hits_ = 0;
   u64 sketch_answers_ = 0;

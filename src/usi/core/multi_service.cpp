@@ -137,6 +137,26 @@ struct UsiMultiService::TextEntry {
     *delta_out = delta;
   }
 
+  /// Drops the update-tier overlay, if any; caller holds `mu`. Returns
+  /// whether one was dropped: its appended symbols are gone from what
+  /// readers see, so the caller must also invalidate the tier.
+  bool DropDeltaLocked() {
+    if (delta == nullptr) return false;
+    delta = nullptr;
+    ++delta_epoch;
+    return true;
+  }
+
+  /// Starts a new tier content epoch. Called only AFTER the changed
+  /// content is visible to readers (published, appended or dropped): a
+  /// batch tags its records with the epoch it read before pinning, so any
+  /// batch that pinned the old content records either before this bump
+  /// (and the bump forgets it) or after (and the record is dropped as
+  /// stale). O(1); the tier lock is a leaf, so holding `mu` is fine.
+  void InvalidateTier() {
+    if (tier != nullptr) tier->Clear();
+  }
+
   /// Build-lane state; caller holds `mu`.
   BuildState StateLocked() const {
     if (completed >= scheduled) {
@@ -175,6 +195,10 @@ struct UsiMultiService::BatchScratch {
     /// The update-tier overlay pinned WITH gen (one entry-lock critical
     /// section), so the group's base and delta describe the same boundary.
     std::shared_ptr<DeltaOverlay> delta;
+    /// The text's tier epoch, read BEFORE the pin: this group's records
+    /// describe that epoch's content (or a newer one) and are dropped once
+    /// the tier has moved past it.
+    u64 tier_epoch = 0;
     std::vector<u32> indices;  ///< Positions in the incoming batch.
   };
   std::vector<Group> groups;  ///< groups[0..used) active this batch.
@@ -246,13 +270,12 @@ u64 UsiMultiService::SubmitText(std::string_view id, WeightedString ws,
     generation = ++entry->scheduled;
     // Full-content replacement supersedes the update tier: pending appends
     // describe the outgoing text.
-    if (entry->delta != nullptr) {
-      entry->delta = nullptr;
-      ++entry->delta_epoch;
-    }
+    entry->DropDeltaLocked();
+    // Declared new content: answers learned so far describe the old text.
+    // The old generation may keep serving (and refilling the tier) until
+    // the build publishes; the publish invalidates again.
+    entry->InvalidateTier();
   }
-  // New content: recorded answers (and their bounds) describe the old text.
-  if (entry->tier != nullptr) entry->tier->Clear();
   ScheduleBuild(std::move(entry), std::move(ws), generation);
   return generation;
 }
@@ -288,15 +311,7 @@ u64 UsiMultiService::RegisterTextFromFile(std::string_view id,
     std::lock_guard<std::mutex> lock(entry->mu);
     gen->number = ++entry->scheduled;
     entry->source_path = path;
-    // Full-content replacement supersedes the update tier.
-    if (entry->delta != nullptr) {
-      entry->delta = nullptr;
-      ++entry->delta_epoch;
-    }
   }
-  // Upsert may swap in different content; the tier must not replay answers
-  // recorded against the previous text.
-  if (entry->tier != nullptr) entry->tier->Clear();
   // Account the instant publish as a scheduled-and-completed build so
   // WaitForText/WaitForBuilds targets stay consistent with SubmitText's.
   {
@@ -314,6 +329,11 @@ u64 UsiMultiService::RegisterTextFromFile(std::string_view id,
       entry->published = gen->number;
       entry->current = std::move(gen);
       entry->last_failed = false;
+      // Full-content replacement supersedes the update tier, and the upsert
+      // may have swapped in different content: once it is visible, the
+      // tier must stop replaying answers recorded against the old text.
+      entry->DropDeltaLocked();
+      entry->InvalidateTier();
     }
   }
   entry->cv.notify_all();
@@ -344,13 +364,10 @@ u64 UsiMultiService::UpdateText(std::string_view id, WeightedString ws,
     if (build_options != nullptr) entry->build_options = *build_options;
     generation = ++entry->scheduled;
     // Full-content replacement supersedes the update tier.
-    if (entry->delta != nullptr) {
-      entry->delta = nullptr;
-      ++entry->delta_epoch;
-    }
+    entry->DropDeltaLocked();
+    // Declared new content (see SubmitText); the publish invalidates again.
+    entry->InvalidateTier();
   }
-  // New content: recorded answers (and their bounds) describe the old text.
-  if (entry->tier != nullptr) entry->tier->Clear();
   ScheduleBuild(std::move(entry), std::move(ws), generation);
   return generation;
 }
@@ -385,11 +402,8 @@ ServeStatus UsiMultiService::AppendTextImpl(std::string_view id,
   EntryPtr entry = FindEntry(id);
   if (entry == nullptr) return ServeStatus::kUnknownText;
 
+  BuildJob compaction;
   bool schedule_compaction = false;
-  WeightedString compact_ws;
-  u64 compact_generation = 0;
-  index_t compact_boundary = 0;
-  u64 compact_epoch = 0;
   {
     // The entry lock is held for the whole append (overlay creation, the
     // append itself, the compaction decision): it serializes appenders and
@@ -419,41 +433,51 @@ ServeStatus UsiMultiService::AppendTextImpl(std::string_view id,
     } catch (...) {
       if (entry->delta->poisoned()) {
         // Mid-span failure tore the overlay: pending appends are lost with
-        // it; the base keeps serving exact answers over its own prefix.
-        entry->delta = nullptr;
-        ++entry->delta_epoch;
+        // it; the base keeps serving exact answers over its own prefix, so
+        // tier answers that counted the appended symbols are stale.
+        entry->DropDeltaLocked();
+        entry->InvalidateTier();
       }
       return ServeStatus::kIndexUnavailable;
     }
     ++entry->appends;
-    {
-      auto read = entry->delta->LockForRead();
-      if (options_.delta_compact_threshold > 0 &&
-          entry->delta->AppendedLocked() >= options_.delta_compact_threshold &&
-          !entry->compaction_scheduled) {
-        compact_boundary = entry->delta->TotalSizeLocked();
-        compact_epoch = entry->delta->epoch();
-        schedule_compaction = true;
-      }
-    }
-    if (schedule_compaction) {
-      // Snapshot under the entry lock (appenders are excluded, so the
-      // snapshot IS the content compact_boundary describes) and mark the
-      // compaction in flight — one at a time per text.
-      compact_ws = entry->delta->SnapshotMerged();
-      compact_generation = ++entry->scheduled;
-      entry->compaction_scheduled = true;
-    }
+    schedule_compaction = PlanCompactionLocked(entry, &compaction);
   }
-  // Appended content changed the text: recorded tier answers (and their
-  // bounds) describe the shorter text.
-  if (entry->tier != nullptr) entry->tier->Clear();
+  // Appended content changed the text (visible since Append returned):
+  // recorded tier answers (and their bounds) describe the shorter text.
+  entry->InvalidateTier();
   appends_.fetch_add(1, std::memory_order_relaxed);
   if (schedule_compaction) {
-    ScheduleBuild(std::move(entry), std::move(compact_ws), compact_generation,
-                  {}, true, compact_boundary, compact_epoch);
+    ScheduleBuild(std::move(compaction.entry), std::move(compaction.ws),
+                  compaction.generation, {}, true,
+                  compaction.compact_boundary, compaction.compact_epoch);
   }
   return ServeStatus::kOk;
+}
+
+bool UsiMultiService::PlanCompactionLocked(const EntryPtr& entry,
+                                           BuildJob* job) {
+  if (options_.delta_compact_threshold == 0 || entry->delta == nullptr ||
+      entry->compaction_scheduled) {
+    return false;
+  }
+  {
+    auto read = entry->delta->LockForRead();
+    if (entry->delta->AppendedLocked() < options_.delta_compact_threshold) {
+      return false;
+    }
+    job->compact_boundary = entry->delta->TotalSizeLocked();
+  }
+  // Snapshot under the entry lock (appenders are excluded, so the snapshot
+  // IS the content compact_boundary describes) and mark the compaction in
+  // flight — one at a time per text.
+  job->entry = entry;
+  job->ws = entry->delta->SnapshotMerged();
+  job->generation = ++entry->scheduled;
+  job->compaction = true;
+  job->compact_epoch = entry->delta->epoch();
+  entry->compaction_scheduled = true;
+  return true;
 }
 
 bool UsiMultiService::UnregisterText(std::string_view id) {
@@ -492,10 +516,7 @@ bool UsiMultiService::UnregisterText(std::string_view id) {
     // pinned it keep serving (RCU: their shared_ptrs keep entry and
     // generation alive; the last reader reclaims both).
     entry->current = nullptr;
-    if (entry->delta != nullptr) {
-      entry->delta = nullptr;
-      ++entry->delta_epoch;
-    }
+    if (entry->DropDeltaLocked()) entry->InvalidateTier();
   }
   entry->cv.notify_all();
   build_cv_.notify_all();
@@ -695,6 +716,8 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
       std::make_unique<UsiService>(*gen->index, pool_, service_options);
 
   bool compaction_published = false;
+  BuildJob next_compaction;
+  bool schedule_next = false;
   {
     std::lock_guard<std::mutex> lock(entry.mu);
     Timer publish_timer;  // Measures the lock hold appenders/pinners see.
@@ -755,25 +778,39 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
         }
         ++entry.compactions;
         compaction_published = true;
-      } else if (entry.delta != nullptr) {
+      } else {
         // A full rebuild replaces content wholesale; an overlay created
         // against the outgoing base (appends raced the rebuild) describes
         // text this generation supersedes.
-        entry.delta = nullptr;
-        ++entry.delta_epoch;
+        entry.DropDeltaLocked();
       }
       entry.published = gen->number;
       entry.current = std::move(gen);
       entry.last_failed = false;
+      // A compaction republishes content readers already saw (base + delta
+      // folded); any other publish changes it, so the tier's answers —
+      // including those the old generation fed it while this build ran —
+      // now describe the wrong text.
+      if (!job.compaction) entry.InvalidateTier();
     }
     if (compaction_published) {
       entry.compact_publish_ns =
           static_cast<u64>(publish_timer.ElapsedSeconds() * 1e9);
+      // Appends that raced the build may already fill the successor
+      // overlay past the threshold; fold them now rather than waiting for
+      // the next append to notice.
+      schedule_next = PlanCompactionLocked(job.entry, &next_compaction);
     }
   }
   entry.cv.notify_all();
   if (compaction_published) {
     compactions_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (schedule_next) {
+    ScheduleBuild(std::move(next_compaction.entry),
+                  std::move(next_compaction.ws), next_compaction.generation,
+                  {}, true, next_compaction.compact_boundary,
+                  next_compaction.compact_epoch);
   }
   return true;
 }
@@ -835,9 +872,11 @@ BuildState UsiMultiService::TextState(std::string_view id) const {
 }
 
 void UsiMultiService::WaitForBuilds() {
+  // Idle, not a fixed target: a compaction publish may schedule the next
+  // fold itself (appends raced its build), and that work belongs to what
+  // the caller asked to settle.
   std::unique_lock<std::mutex> lock(build_mu_);
-  const u64 target = builds_scheduled_;
-  build_cv_.wait(lock, [&] { return builds_completed_ >= target; });
+  build_cv_.wait(lock, [&] { return builds_completed_ >= builds_scheduled_; });
 }
 
 std::unique_ptr<UsiMultiService::BatchScratch>
@@ -1003,6 +1042,8 @@ ServeStatus UsiMultiService::QueryBatchInto(
         }
         std::shared_ptr<const Generation> gen;
         std::shared_ptr<DeltaOverlay> delta;
+        const u64 tier_epoch =
+            entry->tier != nullptr ? entry->tier->epoch() : 0;
         entry->PinServing(&gen, &delta);
         if (gen == nullptr && !(degrade && entry->tier != nullptr)) {
           cleanup();
@@ -1018,6 +1059,7 @@ ServeStatus UsiMultiService::QueryBatchInto(
         last_group->entry = std::move(entry);
         last_group->gen = std::move(gen);
         last_group->delta = std::move(delta);
+        last_group->tier_epoch = tier_epoch;
         last_group->indices.clear();
       }
       last_id = q.text_id;
@@ -1124,11 +1166,18 @@ ServeStatus UsiMultiService::QueryBatchInto(
       // Recording happens whether or not THIS batch opted into degraded
       // serving — learning must precede the first failure. RecordExact
       // never blocks (try_lock, drop on contention) and never allocates.
+      // Records carry the epoch read before the pin: if the content changed
+      // since (an append, a publish), these answers may describe the old
+      // text, and the tier drops them.
       if (group.entry->tier != nullptr) {
         DegradedTier& learn = *group.entry->tier;
-        for (std::size_t j = 0; j < n; ++j) {
-          learn.RecordExact(DegradedTier::KeyFor(scratch->patterns[j]),
-                            scratch->results[j]);
+        if (learn.epoch() != group.tier_epoch) {
+          learn.NoteStaleDrops(n);
+        } else {
+          for (std::size_t j = 0; j < n; ++j) {
+            learn.RecordExact(DegradedTier::KeyFor(scratch->patterns[j]),
+                              scratch->results[j], group.tier_epoch);
+          }
         }
       }
       // Cost-model calibration: only fully-served groups feed the estimate
@@ -1177,11 +1226,9 @@ ServeStatus UsiMultiService::QueryBatchInto(
             entry.current = nullptr;
             // The overlay extends the demoted base; the recovery build
             // re-indexes the base content alone, so pending appends are
-            // dropped with the mapping that lost them.
-            if (entry.delta != nullptr) {
-              entry.delta = nullptr;
-              ++entry.delta_epoch;
-            }
+            // dropped with the mapping that lost them (and so are tier
+            // answers that counted them).
+            if (entry.DropDeltaLocked()) entry.InvalidateTier();
             generation = ++entry.scheduled;
             recover_path = entry.source_path;
             demoted = true;

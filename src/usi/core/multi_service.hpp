@@ -84,6 +84,12 @@
 /// while the build lane retries, and deadline expiry fills unreached slots
 /// from the tier. Such batches return ServeStatus::kDegraded (or keep
 /// kDeadlineExceeded) with per-result provenance and error bounds.
+/// Tier answers always describe the content a reader can see: every
+/// content change (an append, a rebuild or registration publish, a dropped
+/// overlay) bumps the tier's content epoch once the change is visible, and
+/// each batch records under the epoch it read before pinning, so answers
+/// computed against older content are dropped (DegradedTierStats::
+/// stale_drops) instead of replayed.
 ///
 /// \par Thread safety
 /// All public members are safe to call concurrently. QueryBatch never
@@ -386,7 +392,10 @@ class UsiMultiService {
   /// Build-lane state of \p id right now, without waiting.
   BuildState TextState(std::string_view id) const;
 
-  /// Blocks until every build scheduled so far (all texts) has completed.
+  /// Blocks until the build lanes are idle: every build scheduled so far
+  /// (all texts) has completed, and so has any compaction a completing
+  /// compaction scheduled in turn. Builds other threads keep scheduling
+  /// meanwhile are waited for too.
   void WaitForBuilds();
 
   /// Answers queries[i] into results[i] (results.size() must be >=
@@ -445,6 +454,12 @@ class UsiMultiService {
   void ScheduleBuild(EntryPtr entry, WeightedString ws, u64 generation,
                      std::string recover_path = {}, bool compaction = false,
                      index_t compact_boundary = 0, u64 compact_epoch = 0);
+
+  /// Caller holds the entry lock. When the text's live overlay has reached
+  /// delta_compact_threshold and no compaction is in flight, snapshots the
+  /// merged content into \p job (a compaction job for ScheduleBuild once
+  /// the lock is dropped), marks one in flight and returns true.
+  bool PlanCompactionLocked(const EntryPtr& entry, BuildJob* job);
 
   /// Body of one build-lane pool task: claims ready jobs whose text no
   /// other lane holds, runs them (delayed retry jobs wait out their

@@ -19,6 +19,7 @@
 #include "test_helpers.hpp"
 #include "usi/core/multi_service.hpp"
 #include "usi/core/usi_index.hpp"
+#include "usi/parallel/thread_pool.hpp"
 #include "usi/util/failpoint.hpp"
 
 namespace usi {
@@ -439,6 +440,188 @@ TEST_F(DegradationTest, ContentUpdateForgetsStaleTierAnswers) {
   for (const QueryResult& r : results) {
     EXPECT_EQ(r.provenance, AnswerProvenance::kNone)
         << "stale answers across a content change would be silent lies";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Content epochs: tier answers always describe the content readers see.
+
+/// Integer weights keep kSum exact in double, so brute force and the index
+/// agree bit for bit whatever the summation order.
+WeightedString IntegerWeighted(index_t n, u32 sigma, u64 seed) {
+  Rng rng(seed);
+  Text text(n);
+  for (auto& c : text) c = static_cast<Symbol>(rng.UniformBelow(sigma));
+  std::vector<double> weights(n);
+  for (auto& w : weights) w = static_cast<double>(rng.UniformInRange(1, 5));
+  return WeightedString(std::move(text), std::move(weights));
+}
+
+std::vector<QueryResult> BruteAnswers(const WeightedString& ws,
+                                      const std::vector<Text>& patterns) {
+  std::vector<QueryResult> want(patterns.size());
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    want[i] = testing::BruteUtility(ws, patterns[i], GlobalUtilityKind::kSum);
+  }
+  return want;
+}
+
+/// Every string over {0..sigma-1} of length 1..max_len: short patterns
+/// whose answers move with nearly every content change.
+std::vector<Text> AllShortPatterns(u32 sigma, std::size_t max_len) {
+  std::vector<Text> patterns;
+  std::vector<Text> frontier = {Text{}};
+  for (std::size_t len = 1; len <= max_len; ++len) {
+    std::vector<Text> next;
+    for (const Text& prefix : frontier) {
+      for (u32 c = 0; c < sigma; ++c) {
+        Text p = prefix;
+        p.push_back(static_cast<Symbol>(c));
+        next.push_back(p);
+        patterns.push_back(std::move(p));
+      }
+    }
+    frontier = std::move(next);
+  }
+  return patterns;
+}
+
+MultiBatchOptions ExpiredDegraded() {
+  MultiBatchOptions options;
+  options.allow_degraded = true;
+  options.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(5);
+  return options;
+}
+
+TEST_F(DegradationTest, RebuildPublishForgetsAnswersTheOldGenerationServed) {
+  // Deterministic window: a 1-wide injected pool whose only worker is
+  // parked on a latch, so UpdateText's build cannot start while the old
+  // generation keeps serving (inline, on this thread) and refilling the
+  // tier with answers about the OLD text.
+  ThreadPool pool(1);
+  UsiMultiService service(&pool);
+  const WeightedString ws1 = IntegerWeighted(400, 3, 0xE1);
+  const WeightedString ws2 = IntegerWeighted(420, 3, 0xE2);
+  service.SubmitText("t", ws1);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  std::latch started(1);
+  std::latch release(1);
+  pool.Run([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  service.UpdateText("t", ws2);
+
+  const std::vector<Text> patterns = AllShortPatterns(3, 4);
+  const std::vector<MultiQuery> queries = QueriesFor("t", patterns);
+  const std::vector<QueryResult> want1 = BruteAnswers(ws1, patterns);
+  const std::vector<QueryResult> want2 = BruteAnswers(ws2, patterns);
+  std::size_t differ = 0;
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    differ += want1[i].occurrences != want2[i].occurrences ? 1 : 0;
+  }
+  ASSERT_GT(differ, patterns.size() / 2) << "texts must disagree to test";
+
+  std::vector<QueryResult> results(queries.size());
+  ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_EQ(results[i].occurrences, want1[i].occurrences)
+        << "the old generation serves until the build publishes";
+  }
+
+  // Publish the new text; the tier must not replay the window's answers.
+  release.count_down();
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+  ASSERT_EQ(service.StatsFor("t")->generation, 2u);
+  EXPECT_EQ(service.QueryBatchInto(queries, results, ExpiredDegraded()),
+            ServeStatus::kDeadlineExceeded);
+  ExpectWithinBounds(results, want2);
+
+  // Exact serving on the new generation relearns; replay is correct and
+  // complete again.
+  ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+  EXPECT_EQ(service.QueryBatchInto(queries, results, ExpiredDegraded()),
+            ServeStatus::kDeadlineExceeded);
+  ExpectWithinBounds(results, want2);
+  for (const QueryResult& r : results) {
+    EXPECT_NE(r.provenance, AnswerProvenance::kNone);
+  }
+}
+
+TEST_F(DegradationTest, AppendsBesideReadersNeverLeaveStaleTierAnswers) {
+  // A batch that read the overlay before an append must not record its
+  // (pre-append) answers after that append's tier bump. Readers hammer
+  // while one thread appends (with compactions folding the delta in the
+  // background); once everything is quiet, every tier answer must match
+  // brute force over the final content.
+  UsiMultiServiceOptions options;
+  options.threads = 2;
+  options.delta_compact_threshold = 96;
+  UsiMultiService service(options);
+  const WeightedString base = IntegerWeighted(300, 3, 0xA1);
+  service.SubmitText("t", base);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  const std::vector<Text> patterns = AllShortPatterns(3, 5);
+  const std::vector<MultiQuery> queries = QueriesFor("t", patterns);
+  Text full = base.text();
+  std::vector<double> weights = base.weights();
+  Rng rng(0xA2);
+  constexpr int kAppends = 1500;
+  constexpr int kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<u64> failures{0};
+  std::latch start(kReaders + 1);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      std::vector<QueryResult> results(queries.size());
+      start.arrive_and_wait();
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (service.QueryBatchInto(queries, results) != ServeStatus::kOk) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  start.arrive_and_wait();
+  for (int i = 0; i < kAppends; ++i) {
+    const Symbol c = static_cast<Symbol>(rng.UniformBelow(3));
+    const double w = static_cast<double>(rng.UniformInRange(1, 5));
+    ASSERT_EQ(service.AppendText("t", Text(1, c), std::vector<double>{w}),
+              ServeStatus::kOk);
+    full.push_back(c);
+    weights.push_back(w);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  service.WaitForBuilds();
+  EXPECT_EQ(failures.load(), 0u);
+  const DegradedTierStats tier = service.StatsFor("t")->degraded.value();
+  // Epoch 1 at creation; SubmitText bumps when it schedules and again when
+  // the build publishes; then one bump per append (compactions republish
+  // the same content and do not bump).
+  EXPECT_EQ(tier.epoch, 3u + kAppends);
+  EXPECT_GT(service.StatsFor("t")->compactions, 0u);
+
+  // Relearn half the patterns on the quiet final content; the other half
+  // holds whatever the racing readers left behind.
+  const std::size_t half = queries.size() / 2;
+  std::vector<QueryResult> results(queries.size());
+  ASSERT_EQ(service.QueryBatchInto(
+                std::span<const MultiQuery>(queries.data(), half),
+                std::span<QueryResult>(results.data(), half)),
+            ServeStatus::kOk);
+  EXPECT_EQ(service.QueryBatchInto(queries, results, ExpiredDegraded()),
+            ServeStatus::kDeadlineExceeded);
+  const std::vector<QueryResult> want =
+      BruteAnswers(WeightedString(full, weights), patterns);
+  ExpectWithinBounds(results, want);
+  for (std::size_t i = 0; i < half; ++i) {
+    EXPECT_EQ(results[i].provenance, AnswerProvenance::kCached) << i;
   }
 }
 

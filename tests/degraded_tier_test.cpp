@@ -3,7 +3,9 @@
 // answers within its advertised epsilon * mass bound and never
 // under-estimates, unknown patterns stay unanswered (kNone at the serving
 // layer), Clear forgets learned state, and the telemetry snapshot reports
-// the geometry usi_inspect prints.
+// the geometry usi_inspect prints. Clear is an O(1) content-epoch bump:
+// records tagged with an older epoch are dropped, and a tier cleared many
+// times behaves exactly like a freshly built one fed the same stream.
 
 #include <gtest/gtest.h>
 
@@ -141,6 +143,138 @@ TEST(DegradedTier, ClearForgetsAnswersButKeepsCounters) {
   // Telemetry is cumulative across content versions.
   EXPECT_EQ(stats.records, 1u);
   EXPECT_EQ(stats.lookups, 2u);
+}
+
+TEST(DegradedTier, ClearBumpsTheEpochAndStaleRecordsAreDropped) {
+  DegradedTier tier;
+  EXPECT_EQ(tier.epoch(), 1u);
+  EXPECT_EQ(tier.stats().epoch, 1u);
+  const PatternKey key = DegradedTier::KeyFor(T("before"));
+  // A batch captures the epoch before pinning the content it serves...
+  const u64 pinned = tier.epoch();
+  // ...the content changes and the tier moves on...
+  tier.Clear();
+  EXPECT_EQ(tier.epoch(), pinned + 1);
+  // ...and the batch's late record describes the old content: dropped.
+  tier.RecordExact(key, Exact(5.0, 2), pinned);
+  QueryResult got;
+  EXPECT_FALSE(tier.TryAnswer(key, &got))
+      << "a record tagged with a stale epoch must never be replayed";
+  DegradedTierStats stats = tier.stats();
+  EXPECT_EQ(stats.stale_drops, 1u);
+  EXPECT_EQ(stats.record_drops, 0u) << "stale drops are not contention";
+  EXPECT_EQ(stats.records, 0u);
+  EXPECT_EQ(stats.cache_size, 0u);
+  EXPECT_EQ(stats.sketched_keys, 0u);
+  EXPECT_EQ(stats.epoch, pinned + 1);
+
+  // A record tagged with the current epoch lands.
+  tier.RecordExact(key, Exact(6.0, 3), tier.epoch());
+  ASSERT_TRUE(tier.TryAnswer(key, &got));
+  EXPECT_EQ(got.utility, 6.0);
+  EXPECT_EQ(got.occurrences, 3u);
+
+  // A group-level skip is counted the same way.
+  tier.NoteStaleDrops(7);
+  stats = tier.stats();
+  EXPECT_EQ(stats.stale_drops, 8u);
+  EXPECT_EQ(stats.records, 1u);
+}
+
+/// One tier's full observable answer state for \p keys, in order. Every
+/// TryAnswer also feeds the popularity sketch, so two tiers compared this
+/// way must be probed with the same sequence.
+struct Observed {
+  bool answered = false;
+  QueryResult result;
+};
+std::vector<Observed> ObserveAll(DegradedTier& tier,
+                                 const std::vector<PatternKey>& keys) {
+  std::vector<Observed> out(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    out[i].answered = tier.TryAnswer(keys[i], &out[i].result);
+  }
+  return out;
+}
+
+TEST(DegradedTier, ClearedTierAnswersExactlyLikeAFreshOne) {
+  // Small geometry so the older-epoch slots are everywhere the new epoch
+  // writes: full cache victim windows, long filter probe chains (the
+  // filter fills to its 7/8 admission cap) and shared count-min buckets.
+  DegradedTierOptions options;
+  options.cache_capacity = 32;
+  options.sketch_width = 16;
+  options.sketch_depth = 3;
+  options.max_sketched_keys = 64;
+
+  Rng rng(0xE90C);
+  auto make_stream = [&](std::size_t n, u32 alphabet) {
+    std::vector<std::pair<PatternKey, QueryResult>> stream;
+    for (std::size_t i = 0; i < n; ++i) {
+      Text pattern;
+      const std::size_t len = 1 + rng.UniformBelow(4);
+      for (std::size_t j = 0; j < len; ++j) {
+        pattern.push_back(static_cast<Symbol>(rng.UniformBelow(alphabet)));
+      }
+      stream.emplace_back(DegradedTier::KeyFor(pattern),
+                          Exact(static_cast<double>(rng.UniformBelow(50)),
+                                static_cast<index_t>(rng.UniformBelow(9))));
+    }
+    return stream;
+  };
+
+  for (const int clears : {1, 2, 5, 17}) {
+    DegradedTier cleared(options);
+    DegradedTier fresh(options);
+    std::vector<PatternKey> probe;
+    // Earlier epochs: different answers for overlapping keys (the old
+    // content), enough distinct keys to fill every structure.
+    for (int c = 0; c < clears; ++c) {
+      for (const auto& [key, answer] : make_stream(300, 6)) {
+        cleared.RecordExact(key, answer);
+        // The fresh twin sees the same popularity evidence (a lookup
+        // inserts into the popularity sketch exactly as a record does) but
+        // learns no answers: popularity survives Clear by design.
+        QueryResult ignored;
+        fresh.TryAnswer(key, &ignored);
+        probe.push_back(key);
+      }
+      cleared.Clear();
+    }
+    // The current epoch: both tiers get the identical record stream.
+    const auto stream = make_stream(200, 6);
+    for (const auto& [key, answer] : stream) {
+      cleared.RecordExact(key, answer);
+      fresh.RecordExact(key, answer);
+      probe.push_back(key);
+    }
+
+    const std::vector<Observed> want = ObserveAll(fresh, probe);
+    const std::vector<Observed> got = ObserveAll(cleared, probe);
+    std::size_t answered = 0;
+    for (std::size_t i = 0; i < probe.size(); ++i) {
+      ASSERT_EQ(got[i].answered, want[i].answered)
+          << "clears " << clears << " probe " << i;
+      if (!want[i].answered) continue;
+      ++answered;
+      EXPECT_EQ(got[i].result.provenance, want[i].result.provenance) << i;
+      EXPECT_EQ(got[i].result.utility, want[i].result.utility) << i;
+      EXPECT_EQ(got[i].result.occurrences, want[i].result.occurrences) << i;
+      EXPECT_EQ(got[i].result.error_bound, want[i].result.error_bound) << i;
+    }
+    EXPECT_GT(answered, 0u);
+
+    const DegradedTierStats a = cleared.stats();
+    const DegradedTierStats b = fresh.stats();
+    EXPECT_EQ(a.cache_size, b.cache_size) << "clears " << clears;
+    EXPECT_EQ(a.sketched_keys, b.sketched_keys) << "clears " << clears;
+    EXPECT_EQ(a.sketch_mass, b.sketch_mass) << "clears " << clears;
+    EXPECT_EQ(a.epoch, b.epoch + static_cast<u64>(clears));
+    // The geometry really was saturated: the filter hit its cap and the
+    // cache filled, so older-epoch slots were reused on every path.
+    EXPECT_EQ(b.sketched_keys, b.max_sketched_keys);
+    EXPECT_EQ(b.cache_size, b.cache_capacity);
+  }
 }
 
 TEST(DegradedTier, PopularPatternsDisplaceColdOnesInTheCache) {

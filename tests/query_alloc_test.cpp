@@ -183,6 +183,39 @@ TEST(QueryAlloc, DegradedTierRecordAndLookupAllocateNothing) {
       << "steady-state tier traffic must not touch the heap";
 }
 
+TEST(QueryAlloc, DegradedTierClearAllocatesNothing) {
+  // Every AppendText clears its text's tier, so Clear is on the write hot
+  // path: a content-epoch bump, never a rebuild of any structure.
+  DegradedTier tier;
+  Rng rng(0xC1EA);
+  std::vector<PatternKey> keys;
+  for (int i = 0; i < 2'000; ++i) {
+    Text pattern;
+    const std::size_t len = 2 + rng.UniformBelow(10);
+    for (std::size_t j = 0; j < len; ++j) {
+      pattern.push_back(static_cast<Symbol>(rng.UniformBelow(16)));
+    }
+    keys.push_back(DegradedTier::KeyFor(pattern));
+  }
+  QueryResult answer;
+  answer.utility = 3.0;
+  answer.occurrences = 2;
+  for (const PatternKey& key : keys) tier.RecordExact(key, answer);
+  ASSERT_GT(tier.stats().cache_size, 0u);
+  ASSERT_GT(tier.stats().sketched_keys, 0u);
+
+  const std::size_t before = AllocationsNow();
+  for (int round = 0; round < 4; ++round) {
+    tier.Clear();
+    for (const PatternKey& key : keys) {  // Refill the new epoch.
+      tier.RecordExact(key, answer, tier.epoch());
+    }
+  }
+  const std::size_t after = AllocationsNow();
+  EXPECT_EQ(after, before) << "Clear() on a filled tier must not allocate";
+  EXPECT_GT(tier.stats().cache_size, 0u);
+}
+
 TEST(QueryAlloc, SteadyStateServeWithDeltaAllocatesNothing) {
   // The update tier extends the contract: a batch served through a pinned
   // (generation, delta overlay) pair — base answers merged with crossing

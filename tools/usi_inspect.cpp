@@ -95,10 +95,14 @@ void PrintDegradedTier(const DegradedTierStats& s) {
               "mass)\n",
               s.sketch_width, s.sketch_depth, s.epsilon);
   std::printf("  learned:     %zu/%zu keys, mass %.1f, %llu records "
-              "(%llu dropped)\n",
+              "(%llu dropped on contention)\n",
               s.sketched_keys, s.max_sketched_keys, s.sketch_mass,
               static_cast<unsigned long long>(s.records),
               static_cast<unsigned long long>(s.record_drops));
+  std::printf("  epoch:       %llu (content versions seen), %llu stale "
+              "records dropped\n",
+              static_cast<unsigned long long>(s.epoch),
+              static_cast<unsigned long long>(s.stale_drops));
 }
 
 /// Prints one text's update-tier telemetry: the live delta overlay (size,
@@ -574,10 +578,17 @@ int Selftest() {
       }
       return true;
     };
+    const u64 epoch_before = service.StatsFor("t")->degraded.value().epoch;
     if (!append_some(32)) return fail("append");
     std::optional<UsiTextStats> stats = service.StatsFor("t");
     if (!stats.has_value() || !stats->delta.has_value()) {
       return fail("delta stats absent");
+    }
+    // Every append changes the content the degraded tier describes: each
+    // must start a new content epoch.
+    if (!stats->degraded.has_value() ||
+        stats->degraded->epoch != epoch_before + 32) {
+      return fail("append did not bump the tier epoch");
     }
     std::printf("update tier with a live delta (32 appends):\n");
     PrintUpdateTier(*stats);
