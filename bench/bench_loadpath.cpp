@@ -1,19 +1,19 @@
-// Load-path bench (crash-safe persistence PR): v2 heap deserialization vs
-// v3 mmap open, per dataset. Two tables:
+// Load-path bench: what it costs to get a servable index at startup, per
+// dataset. The v3 image opened by mmap is compared against the only other
+// way to obtain one — rebuilding from the text with UsiBuilder. Two tables:
 //
-//   size — persisted file sizes of both formats (v3 carries the table's
-//          ctrl/slot arrays verbatim plus the PSW, so it trades bytes for
-//          the O(1) open).
-//   open — startup latency: v2 LoadFromFile (full stream read + SA scan +
-//          hash re-insertion + O(n) PSW rebuild) against v3 OpenMapped,
-//          warm (file in page cache) and cold (page cache dropped via
-//          posix_fadvise DONTNEED). A cold v3 open faults in only the
-//          header pages; the rest demand-pages as queries touch it, so the
-//          bench also reports cold open + a query burst to price that in.
+//   size — the persisted v3 image size (it carries the table's ctrl/slot
+//          arrays verbatim plus the PSW, trading bytes for the O(1) open).
+//   open — startup latency: rebuild from text (SA + mining + table +
+//          learned fit, sequential) against v3 OpenMapped, warm (file in
+//          page cache) and cold (page cache dropped via posix_fadvise
+//          DONTNEED). A cold open faults in only the header pages; the rest
+//          demand-pages as queries touch it, so the bench also reports cold
+//          open + a query burst to price that in.
 //
-// Acceptance bar (ISSUE: crash-safe persistence): v3 open >= 10x faster
-// than v2 load on the largest bench text. --json PATH writes
-// machine-readable results (BENCH_loadpath.json in CI).
+// Acceptance bar: v3 open >= 10x faster than a rebuild on the largest bench
+// text. --json PATH writes machine-readable results (BENCH_loadpath.json in
+// CI).
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "usi/core/usi_builder.hpp"
 #include "usi/core/usi_index.hpp"
 
 namespace usi {
@@ -63,17 +64,15 @@ double FileMb(const std::string& path) {
 
 struct LoadpathRow {
   std::string name;
-  double v2_mb = 0;
   double v3_mb = 0;
-  double v2_warm_s = 0;
-  double v2_cold_s = 0;
+  double rebuild_s = 0;
   double v3_warm_s = 0;
   double v3_cold_s = 0;
   double v3_cold_burst_s = 0;  ///< Cold open + the query burst.
-  /// v2 warm load / v3 warm open — the instant-start scenario (process
-  /// restart on a warm machine: the file is in the page cache either way,
-  /// so this isolates the O(n) deserialization the v3 format removes;
-  /// storage latency would add the same constant to both cold paths).
+  /// Rebuild / v3 warm open — the instant-start scenario (process restart
+  /// on a warm machine: the text is in memory either way, and the image is
+  /// in the page cache, so this isolates the construction the persisted
+  /// image removes).
   double speedup = 0;
 };
 
@@ -84,23 +83,25 @@ LoadpathRow RunDataset(const char* name, bench::BenchJson* json) {
   const u64 k = std::max<u64>(
       10, static_cast<u64>(spec.default_k) * n / spec.default_n);
 
+  // Sequential, like a UsiMultiService build lane (which builds with one
+  // thread so the rest of the pool keeps serving).
   UsiOptions options;
   options.k = k;
-  options.threads = 0;  // Build as fast as the host allows; not measured.
-  const UsiIndex index(ws, options);
-
-  const std::string stem =
-      std::string(P_tmpdir) + "/usi_bench_loadpath_" + name;
-  const std::string v2_path = stem + "_v2.bin";
-  const std::string v3_path = stem + "_v3.bin";
+  options.threads = 1;
   LoadpathRow row;
   row.name = name;
-  if (!index.SaveToFile(v2_path, IndexFileFormat::kV2Heap) ||
-      !index.SaveToFile(v3_path, IndexFileFormat::kV3Mapped)) {
+  std::unique_ptr<UsiIndex> index;
+  row.rebuild_s = BestOf([&] {
+    UsiBuilder builder(ws, options);
+    index = builder.Build();
+  });
+
+  const std::string v3_path =
+      std::string(P_tmpdir) + "/usi_bench_loadpath_" + name + "_v3.bin";
+  if (!index->SaveToFile(v3_path, IndexFileFormat::kV3Mapped)) {
     std::fprintf(stderr, "bench_loadpath: saving %s failed\n", name);
     return row;
   }
-  row.v2_mb = FileMb(v2_path);
   row.v3_mb = FileMb(v3_path);
 
   // A burst of table-hitting and fallback queries, for the demand-paging
@@ -127,17 +128,9 @@ LoadpathRow RunDataset(const char* name, bench::BenchJson* json) {
     return best;
   };
 
-  row.v2_warm_s = BestOf([&] {
-    const auto loaded = UsiIndex::LoadFromFile(ws, v2_path);
-    USI_CHECK(loaded != nullptr);
-  });
   row.v3_warm_s = BestOf([&] {
     const auto mapped = UsiIndex::OpenMapped(ws, v3_path);
     USI_CHECK(mapped != nullptr);
-  });
-  row.v2_cold_s = cold_best_of(v2_path, [&] {
-    const auto loaded = UsiIndex::LoadFromFile(ws, v2_path);
-    USI_CHECK(loaded != nullptr);
   });
   row.v3_cold_s = cold_best_of(v3_path, [&] {
     const auto mapped = UsiIndex::OpenMapped(ws, v3_path);
@@ -148,20 +141,17 @@ LoadpathRow RunDataset(const char* name, bench::BenchJson* json) {
     USI_CHECK(mapped != nullptr);
     run_burst(*mapped);
   });
-  row.speedup = row.v3_warm_s > 0 ? row.v2_warm_s / row.v3_warm_s : 0;
+  row.speedup = row.v3_warm_s > 0 ? row.rebuild_s / row.v3_warm_s : 0;
 
   const std::string section = std::string("loadpath.") + name;
-  json->Add(section, "v2_file", row.v2_mb * 1e6, "bytes");
   json->Add(section, "v3_file", row.v3_mb * 1e6, "bytes");
-  json->Add(section, "v2_load_warm", row.v2_warm_s * 1e6, "us");
-  json->Add(section, "v2_load_cold", row.v2_cold_s * 1e6, "us");
+  json->Add(section, "rebuild", row.rebuild_s * 1e6, "us");
   json->Add(section, "v3_open_warm", row.v3_warm_s * 1e6, "us");
   json->Add(section, "v3_open_cold", row.v3_cold_s * 1e6, "us");
   json->Add(section, "v3_open_cold_plus_1k_queries",
             row.v3_cold_burst_s * 1e6, "us");
-  json->Add(section, "open_speedup_v3_vs_v2", row.speedup, "x");
+  json->Add(section, "open_speedup_v3_vs_rebuild", row.speedup, "x");
 
-  std::remove(v2_path.c_str());
   std::remove(v3_path.c_str());
   return row;
 }
@@ -173,7 +163,7 @@ int main(int argc, char** argv) {
   const usi::bench::BenchArgs args = usi::bench::ParseBenchArgs(argc, argv);
   (void)args.threads;
   usi::bench::PrintBanner("bench_loadpath",
-                          "index persistence: v2 heap load vs v3 mmap open");
+                          "startup: rebuild from text vs v3 mmap open");
   usi::bench::BenchJson json;
 
   std::vector<usi::LoadpathRow> rows;
@@ -183,21 +173,19 @@ int main(int argc, char** argv) {
   }
 
   usi::TablePrinter size_table("Persisted index size");
-  size_table.SetHeader({"dataset", "v2 (MB)", "v3 (MB)"});
+  size_table.SetHeader({"dataset", "v3 (MB)"});
   for (const auto& row : rows) {
-    size_table.AddRow({row.name, usi::TablePrinter::Num(row.v2_mb, 2),
-                       usi::TablePrinter::Num(row.v3_mb, 2)});
+    size_table.AddRow({row.name, usi::TablePrinter::Num(row.v3_mb, 2)});
   }
   size_table.Print();
 
   usi::TablePrinter open_table(
       "Startup latency (best of 5; cold = page cache dropped)");
-  open_table.SetHeader({"dataset", "v2 warm (us)", "v2 cold (us)",
-                        "v3 warm (us)", "v3 cold (us)",
-                        "v3 cold+1k queries (us)", "speedup"});
+  open_table.SetHeader({"dataset", "rebuild (us)", "v3 warm (us)",
+                        "v3 cold (us)", "v3 cold+1k queries (us)",
+                        "speedup"});
   for (const auto& row : rows) {
-    open_table.AddRow({row.name, usi::TablePrinter::Num(row.v2_warm_s * 1e6, 0),
-                       usi::TablePrinter::Num(row.v2_cold_s * 1e6, 0),
+    open_table.AddRow({row.name, usi::TablePrinter::Num(row.rebuild_s * 1e6, 0),
                        usi::TablePrinter::Num(row.v3_warm_s * 1e6, 0),
                        usi::TablePrinter::Num(row.v3_cold_s * 1e6, 0),
                        usi::TablePrinter::Num(row.v3_cold_burst_s * 1e6, 0),
@@ -206,8 +194,8 @@ int main(int argc, char** argv) {
   open_table.Print();
 
   const usi::LoadpathRow& largest = rows.back();
-  std::printf("\nv3 open vs v2 load on %s: %.1fx "
-              "(acceptance bar: 10.0x; speedup = v2 warm load / v3 warm open)\n",
+  std::printf("\nv3 open vs rebuild on %s: %.1fx "
+              "(acceptance bar: 10.0x; speedup = rebuild / v3 warm open)\n",
               largest.name.c_str(), largest.speedup);
   json.Add("loadpath.summary", "largest_text_speedup", largest.speedup, "x");
 

@@ -1,7 +1,7 @@
 // File indexer: the adoption path for users with their own data. Indexes an
 // arbitrary byte file as a weighted string (utilities drawn per the paper's
 // recipe for corpora without native scores), persists the index, and answers
-// pattern queries — demonstrating SaveToFile/LoadFromFile and the tuning
+// pattern queries — demonstrating SaveToFile/OpenMapped and the tuning
 // helper that picks K under a hash-table budget.
 //
 // Usage: file_indexer <file> [pattern...]
@@ -49,12 +49,13 @@ int main(int argc, char** argv) {
   std::printf("built in %.2f s; index size %s\n", build_timer.ElapsedSeconds(),
               FormatBytes(index.SizeInBytes()).c_str());
 
-  // Persist + reload (a real deployment builds once, serves many).
+  // Persist + reopen (a real deployment builds once, serves many): the
+  // saved image opens by mmap, with no rebuild and no deserialization.
   const std::string index_path = "/tmp/usi_file_index.bin";
   if (index.SaveToFile(index_path)) {
-    const auto loaded = UsiIndex::LoadFromFile(ws, index_path);
+    const auto opened = UsiIndex::OpenMapped(ws, index_path);
     std::printf("round-tripped through %s: %s\n", index_path.c_str(),
-                loaded != nullptr ? "ok" : "FAILED");
+                opened != nullptr ? "ok" : "FAILED");
   }
 
   // Answer queries from the command line, encoding each raw byte pattern

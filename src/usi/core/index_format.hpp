@@ -2,20 +2,16 @@
 #define USI_CORE_INDEX_FORMAT_HPP_
 
 /// \file index_format.hpp
-/// On-disk layouts of persisted UsiIndex files.
+/// On-disk layout of persisted UsiIndex files.
 ///
-/// Two formats share one Save/Load surface (usi_index.hpp):
-///
-///  * v2 "heap" — the portable stream format: a 38-byte packed header
-///    followed by u64-length-prefixed arrays, deserialized into owning heap
-///    structures on load. Works on any host; costs a full O(n) read + hash
-///    re-insertion at startup.
-///  * v3 "mapped" — the layout below: a page-aligned section file whose
-///    on-disk bytes ARE the in-memory structures. Opening is header
-///    validation + pointer fixup (util/mapped_file.hpp); the kernel demand-
-///    pages the sections and shares them across processes. Same-host
-///    format: byte order, index_t width, and FingerprintTable slot layout
-///    must match the writer (slot_bytes in the header guards the latter).
+/// One format, "v3": a page-aligned section file whose on-disk bytes ARE
+/// the in-memory structures. Opening is header validation + pointer fixup
+/// (util/mapped_file.hpp); the kernel demand-pages the sections and shares
+/// them across processes. Same-host format: byte order, index_t width, and
+/// FingerprintTable slot layout must match the writer (slot_bytes in the
+/// header guards the latter). A file from another host class, or one
+/// written by the retired v2 stream writer ("USI1"), is refused and the
+/// caller rebuilds from the text.
 ///
 /// \par v3 file layout
 ///
@@ -33,7 +29,7 @@
 /// in O(1) at open without touching the payload. file_bytes pins the exact
 /// file size — truncated or extended files fail before any section is read.
 ///
-/// Every v3 (and v2) write goes through the atomic publish protocol of
+/// Every write goes through the atomic publish protocol of
 /// util/mapped_file.hpp: stage to `path.tmp.<pid>`, fsync, rename, fsync
 /// parent. A crash at any instant leaves `path` absent or a complete image.
 
@@ -43,26 +39,16 @@
 
 namespace usi {
 
-/// Which on-disk format SaveToFile emits.
+/// Which on-disk format SaveToFile emits. v3 is the only one; the enum
+/// keeps the SaveToFile(path, format) call shape stable.
 enum class IndexFileFormat : u8 {
-  kV2Heap,    ///< Portable stream format, heap-deserialized on load.
   kV3Mapped,  ///< Section file served via mmap; same-host only.
 };
 
-namespace format_v2 {
-
-/// "USI1" — the stream format's magic. Version 2 of the stream added the
-/// miner byte; the magic word kept its original spelling.
-inline constexpr u32 kMagic = 0x55534931;
-
-inline constexpr u32 kVersion = 2;
-
-}  // namespace format_v2
-
 namespace format_v3 {
 
-/// "USI3" (v2 files start with "USI1" + version 2; the first u32 of a file
-/// dispatches the loader).
+/// "USI3". Any other first word — including the retired v2 stream's
+/// "USI1" — is kBadFormat.
 inline constexpr u32 kMagic = 0x55534933;
 
 inline constexpr u32 kVersion = 3;

@@ -42,9 +42,9 @@ struct UsiMultiService::Generation {
   std::unique_ptr<UsiService> service;  ///< Borrows index + the shared pool.
   /// Serving straight out of an mmap'd file (RegisterTextFromFile). A
   /// mapped generation that faults mid-serve (SIGBUS on a truncated or
-  /// revoked backing file) is demoted and recovered; heap generations
-  /// cannot lose their backing, so a serve failure there is reported but
-  /// never demotes.
+  /// revoked backing file) is demoted and rebuilt from `ws`; heap
+  /// generations cannot lose their backing, so a serve failure there is
+  /// reported but never demotes.
   bool mapped = false;
 };
 
@@ -58,7 +58,7 @@ struct UsiMultiService::TextEntry {
 
   std::mutex mu;  ///< Guards current, build_options, scheduled, completed,
                   ///< published, building, last_failed, last_error,
-                  ///< failed_builds, retries, source_path, removed, delta,
+                  ///< failed_builds, retries, removed, delta,
                   ///< delta_epoch, compaction_scheduled, appends,
                   ///< compactions, compact_publish_ns.
   std::condition_variable cv;  ///< Signals per-text build completions.
@@ -84,17 +84,18 @@ struct UsiMultiService::TextEntry {
   /// A build lane holds this text (guarded by the service's build_mu_, NOT
   /// by `mu`): per-text serialization across the multi-lane executor.
   bool lane_claimed = false;
-  u64 scheduled = 0;  ///< Generation numbers handed out so far.
+  /// Builds scheduled so far (instant publishes included); each new
+  /// generation number is the incremented count.
+  u64 scheduled = 0;
   u64 completed = 0;  ///< Builds finished (published, superseded or failed).
-  u64 published = 0;  ///< Highest generation number stored in `current`.
+  /// Highest generation number stored in `current`; a mapped-fault
+  /// demotion lowers it by one to vacate the faulted number for recovery.
+  u64 published = 0;
   bool building = false;     ///< The build lane is on (or retrying) a job.
   bool last_failed = false;  ///< The newest terminal build outcome failed.
   std::string last_error;    ///< Cause of the most recent build failure.
   u64 failed_builds = 0;     ///< Terminal failures (quarantines).
   u64 retries = 0;           ///< Failed attempts that were re-armed.
-  /// Backing file of mapped generations (RegisterTextFromFile); recovery
-  /// after a mapped fault re-loads from here when the file is still good.
-  std::string source_path;
   /// UnregisterText ran: the entry is out of the registry; a build still
   /// holding it must not publish (the generation would be unreachable
   /// anyway — this just skips the wasted service construction).
@@ -166,7 +167,7 @@ struct UsiMultiService::TextEntry {
   }
 };
 
-/// One queued rebuild (or recovery) job.
+/// One queued build: submit, update, mapped-fault recovery or compaction.
 struct UsiMultiService::BuildJob {
   EntryPtr entry;
   WeightedString ws;
@@ -175,9 +176,6 @@ struct UsiMultiService::BuildJob {
   /// Earliest start time; retry jobs carry their backoff here. The default
   /// (epoch) is always ready.
   std::chrono::steady_clock::time_point not_before{};
-  /// Non-empty marks a recovery job: try a heap load of this index file
-  /// before paying for a full rebuild.
-  std::string recover_path;
   /// Compaction job: ws is the overlay's merged snapshot; at publish the
   /// successor overlay warm-starts from the old one.
   bool compaction = false;
@@ -310,7 +308,6 @@ u64 UsiMultiService::RegisterTextFromFile(std::string_view id,
   {
     std::lock_guard<std::mutex> lock(entry->mu);
     gen->number = ++entry->scheduled;
-    entry->source_path = path;
   }
   // Account the instant publish as a scheduled-and-completed build so
   // WaitForText/WaitForBuilds targets stay consistent with SubmitText's.
@@ -449,7 +446,7 @@ ServeStatus UsiMultiService::AppendTextImpl(std::string_view id,
   appends_.fetch_add(1, std::memory_order_relaxed);
   if (schedule_compaction) {
     ScheduleBuild(std::move(compaction.entry), std::move(compaction.ws),
-                  compaction.generation, {}, true,
+                  compaction.generation, true,
                   compaction.compact_boundary, compaction.compact_epoch);
   }
   return ServeStatus::kOk;
@@ -540,16 +537,15 @@ std::vector<std::string> UsiMultiService::TextIds() const {
 }
 
 void UsiMultiService::ScheduleBuild(EntryPtr entry, WeightedString ws,
-                                    u64 generation, std::string recover_path,
-                                    bool compaction, index_t compact_boundary,
+                                    u64 generation, bool compaction,
+                                    index_t compact_boundary,
                                     u64 compact_epoch) {
   if (pool_ == nullptr) {
     // Degenerate no-pool configuration: build synchronously, right here —
     // retries included (the backoff is a sleep on the caller's thread).
     BuildJob job{std::move(entry), std::move(ws), generation, 0,
-                 std::chrono::steady_clock::time_point{},
-                 std::move(recover_path), compaction, compact_boundary,
-                 compact_epoch};
+                 std::chrono::steady_clock::time_point{}, compaction,
+                 compact_boundary, compact_epoch};
     {
       std::lock_guard<std::mutex> lock(build_mu_);
       ++builds_scheduled_;
@@ -570,8 +566,8 @@ void UsiMultiService::ScheduleBuild(EntryPtr entry, WeightedString ws,
     build_queue_.push_back(BuildJob{std::move(entry), std::move(ws),
                                     generation, 0,
                                     std::chrono::steady_clock::time_point{},
-                                    std::move(recover_path), compaction,
-                                    compact_boundary, compact_epoch});
+                                    compaction, compact_boundary,
+                                    compact_epoch});
     ++builds_scheduled_;
     // Spawn another lane while the executor is under its configured width;
     // a surplus lane that finds nothing claimable simply retires.
@@ -684,22 +680,8 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
     // Compaction-specific chaos hook: a failed fold must leave the old base
     // serving and the overlay absorbing, per the quarantine semantics.
     if (job.compaction) USI_FAILPOINT("compact.swap");
-    if (!job.recover_path.empty()) {
-      // Recovery after a mapped-generation fault: a heap load of the source
-      // file is much cheaper than a rebuild — but only a HEAP load is
-      // acceptable (re-mapping the file that just faulted would fault
-      // again); a v3 file, whose load path is OpenMapped, falls through to
-      // the rebuild.
-      std::unique_ptr<UsiIndex> loaded =
-          UsiIndex::LoadFromFile(gen->ws, job.recover_path);
-      if (loaded != nullptr && !loaded->IsMapped()) {
-        gen->index = std::move(loaded);
-      }
-    }
-    if (gen->index == nullptr) {
-      UsiBuilder builder(gen->ws, build_options);
-      gen->index = builder.Build();
-    }
+    UsiBuilder builder(gen->ws, build_options);
+    gen->index = builder.Build();
   } catch (const std::bad_alloc&) {
     job.ws = std::move(gen->ws);
     return HandleBuildFailure(job, "out of memory (std::bad_alloc)");
@@ -809,7 +791,7 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
   if (schedule_next) {
     ScheduleBuild(std::move(next_compaction.entry),
                   std::move(next_compaction.ws), next_compaction.generation,
-                  {}, true, next_compaction.compact_boundary,
+                  true, next_compaction.compact_boundary,
                   next_compaction.compact_epoch);
   }
   return true;
@@ -1212,31 +1194,33 @@ ServeStatus UsiMultiService::QueryBatchInto(
       if (group.gen->mapped) {
         // A mapped generation faulted (truncated or revoked backing file):
         // demote it so no later batch serves from the bad mapping, and
-        // schedule a recovery build — heap load of the source file when it
-        // is still good, full rebuild otherwise. Only the first batch to
+        // rebuild its content from the retained weighted string — the file
+        // is never trusted again. The recovery re-fills the faulted
+        // generation's own number (lowering `published` by one vacates
+        // it), so the monotonic publish orders it against builds already
+        // scheduled: a newer UpdateText wins whichever finishes first, and
+        // an older queued build stays superseded. Only the first batch to
         // observe the fault demotes (the pointer compare); concurrent
         // failures of the same generation are no-ops here.
         TextEntry& entry = *group.entry;
         bool demoted = false;
-        u64 generation = 0;
-        std::string recover_path;
         {
           std::lock_guard<std::mutex> lock(entry.mu);
           if (entry.current == group.gen) {
             entry.current = nullptr;
+            entry.published = group.gen->number - 1;
+            ++entry.scheduled;  // WaitForText waits for the recovery too.
             // The overlay extends the demoted base; the recovery build
             // re-indexes the base content alone, so pending appends are
             // dropped with the mapping that lost them (and so are tier
             // answers that counted them).
             if (entry.DropDeltaLocked()) entry.InvalidateTier();
-            generation = ++entry.scheduled;
-            recover_path = entry.source_path;
             demoted = true;
           }
         }
         if (demoted) {
           ScheduleBuild(group.entry, WeightedString(group.gen->ws),
-                        generation, std::move(recover_path));
+                        group.gen->number);
         }
       }
     }

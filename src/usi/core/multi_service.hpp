@@ -319,8 +319,11 @@ class UsiMultiService {
   /// id that is currently serving built ones (and vice versa — a later
   /// UpdateText rebuild supersedes the mapped generation normally).
   /// Returns the published generation number, or 0 if the file cannot be
-  /// opened (missing, corrupt, or built over a different text) — in which
-  /// case the registry is left untouched.
+  /// opened (missing, corrupt, built over a different text, or not a v3
+  /// image) — in which case the registry is left untouched and the caller
+  /// rebuilds through SubmitText. The file is not consulted again: if the
+  /// mapping faults mid-serve, the generation is demoted and rebuilt from
+  /// the retained \p ws.
   u64 RegisterTextFromFile(std::string_view id, WeightedString ws,
                            const std::string& path);
 
@@ -446,14 +449,13 @@ class UsiMultiService {
 
   /// Registers the job in the build queue and wakes the build lanes (or,
   /// with no pool, builds synchronously — including synchronous retries).
-  /// \p recover_path non-empty marks a recovery job: BuildOne first tries a
-  /// heap LoadFromFile of that path before falling back to a full rebuild.
-  /// \p compaction jobs fold a delta overlay: \p compact_boundary is the
-  /// snapshot length and \p compact_epoch the overlay lineage the publish
-  /// must still observe.
+  /// Every non-compaction job (submit, update, mapped-fault recovery) is a
+  /// full rebuild of \p ws. \p compaction jobs fold a delta overlay:
+  /// \p compact_boundary is the snapshot length and \p compact_epoch the
+  /// overlay lineage the publish must still observe.
   void ScheduleBuild(EntryPtr entry, WeightedString ws, u64 generation,
-                     std::string recover_path = {}, bool compaction = false,
-                     index_t compact_boundary = 0, u64 compact_epoch = 0);
+                     bool compaction = false, index_t compact_boundary = 0,
+                     u64 compact_epoch = 0);
 
   /// Caller holds the entry lock. When the text's live overlay has reached
   /// delta_compact_threshold and no compaction is in flight, snapshots the

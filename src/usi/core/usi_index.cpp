@@ -37,11 +37,7 @@ std::unique_ptr<UsiIndex> LoadFail(LoadError* error, LoadErrorCode code,
   return nullptr;
 }
 
-// The v2 stream format's magic + version (index_format.hpp).
-constexpr u32 kIndexMagic = format_v2::kMagic;
-constexpr u32 kIndexVersion = format_v2::kVersion;
-
-/// Number of UsiMiner enumerators; loaders validate the serialized byte.
+/// Number of UsiMiner enumerators; OpenMapped validates the header byte.
 constexpr u8 kNumUsiMiners = static_cast<u8>(UsiMiner::kApproximate) + 1;
 
 /// QueryBatch fingerprints in prefix-clustered order only when the average
@@ -413,15 +409,14 @@ UsiIndex::UsiIndex(LoadTag, const WeightedString& ws)
       kind_(GlobalUtilityKind::kSum),
       hasher_(),
       table_(16) {}
-// psw_ stays default-constructed: the v2 loader rebuilds it from ws (one
-// O(n) scan), the v3 opener views the file's PSW section — building it here
-// would put an O(n) pass on the near-zero open path.
+// psw_ stays default-constructed: OpenMapped views the file's PSW section —
+// building it here would put an O(n) pass on the near-zero open path.
 
 namespace {
 
 /// The table entries in canonical (length, fingerprint) order: equal table
 /// contents serialize to equal bytes no matter what insertion order the
-/// build schedule produced. Shared by both formats.
+/// build schedule produced.
 template <typename Table>
 std::vector<SerializedEntry> CanonicalEntries(const Table& table) {
   std::vector<SerializedEntry> entries;
@@ -439,35 +434,17 @@ std::vector<SerializedEntry> CanonicalEntries(const Table& table) {
 
 }  // namespace
 
-bool UsiIndex::SaveV2Body(BinaryWriter& writer) const {
-  writer.Write(kIndexMagic);
-  writer.Write(kIndexVersion);
-  writer.Write(static_cast<u32>(ws_->size()));
-  writer.Write(static_cast<u8>(kind_));
-  writer.Write(static_cast<u8>(miner_));
-  writer.Write(hasher_.base());
-  writer.Write(build_info_.k);
-  writer.Write(build_info_.tau_k);
-  writer.Write(build_info_.num_lengths);
-  // sa_span_, not sa_: a mapped index owns no SA vector but re-serializes
-  // to v2 all the same (that is the v3 -> v2 conversion path).
-  writer.WriteSpan(sa_span_);
-  writer.WriteVector(CanonicalEntries(table_));
-  return writer.ok();
-}
-
-bool UsiIndex::SaveV3Body(BinaryWriter& writer,
-                          const SaveOptions& save_options) const {
+bool UsiIndex::SaveBody(BinaryWriter& writer,
+                        const SaveOptions& save_options) const {
   using namespace format_v3;
   using Table = FingerprintTable<TableValue>;
 
   // Canonical table image: re-insert the sorted entries into a fresh table
   // pre-sized for exactly size() entries. The pre-size loop guarantees the
   // final capacity up front, so no rehash happens and the resulting
-  // ctrl/slot bytes are a pure function of the table CONTENTS — the v3
-  // image is byte-deterministic like v2. AllocateTable blanks the slot
-  // array before any insert, so record padding is zero, never
-  // uninitialized heap bytes.
+  // ctrl/slot bytes are a pure function of the table CONTENTS — the image
+  // is byte-deterministic. AllocateTable blanks the slot array before any
+  // insert, so record padding is zero, never uninitialized heap bytes.
   const std::vector<SerializedEntry> entries = CanonicalEntries(table_);
   Table canon(entries.size());
   for (const SerializedEntry& entry : entries) {
@@ -511,9 +488,9 @@ bool UsiIndex::SaveV3Body(BinaryWriter& writer,
 
   // Optional learned-model section: a Serialize() image appended after the
   // last core section, described by the extension entry in the header
-  // slack. When the index carries no model (legacy mapped image, or a build
-  // with learned_epsilon == 0) a default-ε model is fit for the save, so
-  // every default save of equal indexes emits equal bytes. The absent case
+  // slack. When the index carries no model (an image saved without one, or
+  // a build with learned_epsilon == 0) a default-ε model is fit for the
+  // save, so every default save of equal indexes emits equal bytes. The absent case
   // writes an all-zero entry — byte-identical to the zero padding every
   // pre-extension writer put there.
   LearnedSectionEntry ext;
@@ -554,12 +531,7 @@ bool UsiIndex::SaveV3Body(BinaryWriter& writer,
   return writer.ok() && writer.bytes_written() == header.file_bytes;
 }
 
-bool UsiIndex::SaveToFile(const std::string& path,
-                          IndexFileFormat format) const {
-  return SaveToFile(path, format, SaveOptions());
-}
-
-bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat format,
+bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat,
                           const SaveOptions& save_options) const {
   // Atomic publish (util/mapped_file.hpp): the destination is replaced only
   // by a complete, flushed image. A crash — or a failed write, flush, or
@@ -567,9 +539,7 @@ bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat format,
   // before.
   const std::string staged = StageTempPath(path);
   BinaryWriter writer(staged);
-  bool body_ok = format == IndexFileFormat::kV3Mapped
-                     ? SaveV3Body(writer, save_options)
-                     : SaveV2Body(writer);
+  bool body_ok = SaveBody(writer, save_options);
   // Chaos hooks for the two failure classes the publish protocol must
   // contain: a write/flush error while staging (save.body) and a failed
   // rename/fsync at publish time (save.publish). Either way the
@@ -584,17 +554,6 @@ bool UsiIndex::SaveToFile(const std::string& path, IndexFileFormat format,
     return false;
   }
   return true;
-}
-
-std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
-                                               const std::string& path) {
-  return OpenMapped(ws, path, OpenOptions(), nullptr);
-}
-
-std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
-                                               const std::string& path,
-                                               const OpenOptions& options) {
-  return OpenMapped(ws, path, options, nullptr);
 }
 
 std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
@@ -799,118 +758,6 @@ std::unique_ptr<UsiIndex> UsiIndex::OpenMapped(const WeightedString& ws,
   // Serving probes pages out of order; default readahead would fault in
   // neighbours pointlessly.
   index->mapping_->AdviseRandom();
-  return index;
-}
-
-std::unique_ptr<UsiIndex> UsiIndex::LoadFromFile(const WeightedString& ws,
-                                                 const std::string& path) {
-  return LoadFromFile(ws, path, nullptr);
-}
-
-std::unique_ptr<UsiIndex> UsiIndex::LoadFromFile(const WeightedString& ws,
-                                                 const std::string& path,
-                                                 LoadError* error) {
-  if (error != nullptr) *error = LoadError{};
-  {
-    // Magic dispatch: the first u32 names the format. v3 files are opened
-    // by mmap, everything else falls through to the v2 stream loader.
-    BinaryReader sniff(path);
-    u32 magic = 0;
-    if (!sniff.Read(&magic)) {
-      return LoadFail(error, LoadErrorCode::kNotFound,
-                      "cannot open or read " + path);
-    }
-    if (magic == format_v3::kMagic) {
-      return OpenMapped(ws, path, OpenOptions(), error);
-    }
-  }
-  if (USI_FAILPOINT_FIRED("load.v2")) {
-    return LoadFail(error, LoadErrorCode::kIo, "failpoint load.v2");
-  }
-  BinaryReader reader(path);
-  u32 magic = 0;
-  u32 version = 0;
-  u32 n = 0;
-  u8 kind = 0;
-  u8 miner = 0;
-  u64 base = 0;
-  if (!reader.Read(&magic) || magic != kIndexMagic) {
-    return LoadFail(error, LoadErrorCode::kBadFormat,
-                    "not an index file (unknown magic)");
-  }
-  if (!reader.Read(&version) || version != kIndexVersion) {
-    return LoadFail(error, LoadErrorCode::kBadFormat,
-                    "unsupported v2 version");
-  }
-  if (!reader.Read(&n) || n != ws.size()) {
-    return LoadFail(error, LoadErrorCode::kTextMismatch,
-                    "index was saved over a text of different length");
-  }
-  if (!reader.Read(&kind) || kind >= kNumGlobalUtilityKinds) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "invalid utility kind byte");
-  }
-  if (!reader.Read(&miner) || miner >= kNumUsiMiners) {
-    return LoadFail(error, LoadErrorCode::kCorrupt, "invalid miner byte");
-  }
-  if (!reader.Read(&base) || !KarpRabinHasher::IsValidBase(base)) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "invalid Karp-Rabin base");
-  }
-
-  std::unique_ptr<UsiIndex> index(new UsiIndex(LoadTag{}, ws));
-  index->kind_ = static_cast<GlobalUtilityKind>(kind);
-  index->miner_ = static_cast<UsiMiner>(miner);
-  index->hasher_ = KarpRabinHasher::FromBase(base);
-  if (!reader.Read(&index->build_info_.k) ||
-      !reader.Read(&index->build_info_.tau_k) ||
-      !reader.Read(&index->build_info_.num_lengths)) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "truncated build-info block");
-  }
-  if (!reader.ReadVector(&index->sa_) || index->sa_.size() != ws.size()) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "suffix-array payload truncated or wrong length");
-  }
-  // Corrupted SA payload bytes must not become out-of-bounds positions that
-  // query-time PSW lookups would dereference.
-  for (const index_t pos : index->sa_) {
-    if (pos >= ws.size()) {
-      return LoadFail(error, LoadErrorCode::kCorrupt,
-                      "suffix-array position out of range");
-    }
-  }
-  std::vector<SerializedEntry> entries;
-  if (!reader.ReadVector(&entries)) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "hash-table payload truncated");
-  }
-  // The entry vector is the file's last payload: anything after it is not
-  // slack, it is corruption (a concatenated or doctored file), and a loader
-  // that shrugged it off would serve whatever prefix happened to parse.
-  if (!reader.ExactlyConsumed()) {
-    return LoadFail(error, LoadErrorCode::kCorrupt,
-                    "trailing bytes after last payload");
-  }
-  for (const SerializedEntry& entry : entries) {
-    TableValue value;
-    value.value = entry.value;
-    value.count = entry.count;
-    index->table_.FindOrInsert(PatternKey{entry.fp, entry.len}, value);
-  }
-  index->sa_span_ = index->sa_;
-  index->psw_ = PrefixSumWeights(ws);
-  index->fallback_ = ExhaustiveQueryEngine(ws.text(), index->sa_span_,
-                                           index->psw_, index->kind_);
-  // The v2 stream predates the learned model and carries no ε, so refit at
-  // the default — one extra sequential pass on a path that already does a
-  // full O(n) read, and v2-loaded indexes serve misses as fast as built
-  // ones. (A v2 round-trip of an off-default-ε index refits at the
-  // default; the v3 learned section is the lossless carrier.)
-  index->learned_.Build(ws.text(), index->sa_span_);
-  if (!index->learned_.empty()) {
-    index->fallback_.AttachLearned(&index->learned_);
-  }
   return index;
 }
 

@@ -50,15 +50,16 @@ enum class UsiMiner : u8 {
   kApproximate,  ///< UAT.
 };
 
-/// Why LoadFromFile / OpenMapped refused a file. The nullptr-returning
-/// entry points collapse every failure into "no index"; the LoadError
-/// out-param overloads keep the distinction, so operators (usi_inspect) and
-/// supervising layers can tell a missing file from a corrupt one.
+/// Why OpenMapped refused a file. A null index alone collapses every
+/// failure into "no index"; the LoadError out-param keeps the distinction,
+/// so operators (usi_inspect) and supervising layers can tell a missing
+/// file from a corrupt one.
 enum class LoadErrorCode : u8 {
   kOk = 0,
   kNotFound,      ///< The file does not exist (or cannot be opened).
   kIo,            ///< Read/stat/mmap failed on an existing file.
-  kBadFormat,     ///< Unrecognized magic or version — not an index file.
+  kBadFormat,     ///< Unrecognized magic or version (e.g. a retired v2
+                  ///< "USI1" stream) — not a servable index file.
   kCorrupt,       ///< Checksum, geometry, or consistency check failed.
   kTextMismatch,  ///< Saved over a text of a different length than \p ws.
   kHostMismatch,  ///< Host layout differs (slot bytes / index width).
@@ -126,38 +127,35 @@ class UsiIndex : public QueryEngine {
   UsiIndex(const WeightedString& ws, const UsiOptions& options,
            ThreadPool* pool);
 
-  /// Persists the index in \p format. Both formats write hash-table entries
-  /// in canonical (length, fingerprint) order, so equal indexes serialize to
-  /// equal bytes regardless of build schedule; and both go through the
-  /// atomic publish protocol (stage to `path.tmp.<pid>`, fsync, rename,
-  /// fsync parent — util/mapped_file.hpp), so a crash mid-save never leaves
-  /// a torn file at \p path. Returns false on any I/O failure, INCLUDING
-  /// the final flush — an out-of-space file is reported, not published.
-  ///
-  ///  * kV2Heap (default): portable stream format, heap-loaded anywhere.
-  ///  * kV3Mapped: section file for OpenMapped — near-zero startup on the
-  ///    same host class (index_format.hpp documents the layout).
-  bool SaveToFile(const std::string& path,
-                  IndexFileFormat format = IndexFileFormat::kV2Heap) const;
-
   /// SaveToFile knobs.
   struct SaveOptions {
-    /// kV3Mapped only: include the learned-model section. When true (the
-    /// default) and the index carries no model (legacy mapped image, or a
-    /// build with learned_epsilon == 0), a default-ε model is fit for the
-    /// save, so every default v3 image carries the section and equal
-    /// indexes keep serializing to equal bytes. False omits the section —
-    /// the image opens and serves fine, answering misses by plain binary
-    /// search (also the shape every pre-extension image has).
+    /// Declared so `= {}` can default a parameter inside UsiIndex.
+    SaveOptions() {}
+    /// Include the learned-model section. When true (the default) and the
+    /// index carries no model (an image saved without one, or a build with
+    /// learned_epsilon == 0), a default-ε model is fit for the save, so
+    /// every default image carries the section and equal indexes keep
+    /// serializing to equal bytes. False omits the section — the image
+    /// opens and serves fine, answering misses by plain binary search.
     bool learned_section = true;
   };
 
-  /// As above with explicit \p save_options.
-  bool SaveToFile(const std::string& path, IndexFileFormat format,
-                  const SaveOptions& save_options) const;
+  /// Persists the index as a v3 section file (index_format.hpp documents
+  /// the layout). Hash-table entries are written in canonical (length,
+  /// fingerprint) order, so equal indexes serialize to equal bytes
+  /// regardless of build schedule; and the write goes through the atomic
+  /// publish protocol (stage to `path.tmp.<pid>`, fsync, rename, fsync
+  /// parent — util/mapped_file.hpp), so a crash mid-save never leaves a torn
+  /// file at \p path. Returns false on any I/O failure, INCLUDING the final
+  /// flush — an out-of-space file is reported, not published.
+  bool SaveToFile(const std::string& path,
+                  IndexFileFormat format = IndexFileFormat::kV3Mapped,
+                  const SaveOptions& save_options = {}) const;
 
   /// Deep-verification knob for OpenMapped.
   struct OpenOptions {
+    /// Declared so `= {}` can default a parameter inside UsiIndex.
+    OpenOptions() {}
     /// Also checksum every section payload and range-check the SA (one
     /// sequential O(file) pass) before serving. Off by default — the
     /// atomic publish protocol guarantees a published file is a complete
@@ -166,38 +164,18 @@ class UsiIndex : public QueryEngine {
     bool deep_verify = false;
   };
 
-  /// Opens a kV3Mapped file by mmap: header + section-directory validation
-  /// and pointer fixup only — no array is read until queries touch it
-  /// (demand paging), and the page cache is shared across processes serving
-  /// the same file. The mapping lives inside the returned index. Returns
-  /// nullptr on I/O failure, format/host mismatch, a corrupt header or
-  /// directory, or if \p ws has a different length than the saved index.
+  /// Restores an index previously saved over the same weighted string by
+  /// mmap: header + section-directory validation and pointer fixup only —
+  /// no array is read until queries touch it (demand paging), and the page
+  /// cache is shared across processes serving the same file. The mapping
+  /// lives inside the returned index. Returns nullptr on I/O failure,
+  /// format/host mismatch, a corrupt header or directory, or if \p ws has a
+  /// different length than the saved index; \p error (may be null; always
+  /// written, kOk on success) says which.
   static std::unique_ptr<UsiIndex> OpenMapped(const WeightedString& ws,
                                               const std::string& path,
-                                              const OpenOptions& options);
-  static std::unique_ptr<UsiIndex> OpenMapped(const WeightedString& ws,
-                                              const std::string& path);
-
-  /// As above, reporting WHY a file was refused through \p error (always
-  /// written: kOk on success). \p error may be null.
-  static std::unique_ptr<UsiIndex> OpenMapped(const WeightedString& ws,
-                                              const std::string& path,
-                                              const OpenOptions& options,
-                                              LoadError* error);
-
-  /// Restores an index previously saved over the same weighted string,
-  /// dispatching on the file's magic word: v2 files are heap-deserialized
-  /// (with an exact-consumption check — trailing bytes are corruption), v3
-  /// files are OpenMapped. Returns nullptr on I/O failure, format mismatch,
-  /// or if \p ws has a different length than the saved index.
-  static std::unique_ptr<UsiIndex> LoadFromFile(const WeightedString& ws,
-                                                const std::string& path);
-
-  /// As above, reporting WHY a file was refused through \p error (always
-  /// written: kOk on success). \p error may be null.
-  static std::unique_ptr<UsiIndex> LoadFromFile(const WeightedString& ws,
-                                                const std::string& path,
-                                                LoadError* error);
+                                              const OpenOptions& options = {},
+                                              LoadError* error = nullptr);
 
   /// Answers U(P): hash-table hit in O(m), otherwise SA + PSW fallback.
   /// Safe to call concurrently (the index is immutable after construction).
@@ -282,8 +260,8 @@ class UsiIndex : public QueryEngine {
   std::size_t SizeInBytes() const override;
 
   /// The suffix array (exposed for examples and tests). A span: it views
-  /// the owned heap vector for built/v2-loaded indexes and the mmap'd file
-  /// image for OpenMapped ones.
+  /// the owned heap vector for built indexes and the mmap'd file image for
+  /// OpenMapped ones.
   std::span<const index_t> sa() const { return sa_span_; }
 
   /// Whether this index serves straight out of an mmap'd file (OpenMapped).
@@ -295,8 +273,7 @@ class UsiIndex : public QueryEngine {
   /// Value stored in H: a utility accumulator (value + occurrence count).
   using TableValue = UtilityAccumulator;
 
-  /// Deserialization constructor: members are filled by LoadFromFile /
-  /// OpenMapped. The tag comes first so the public (ws, options = {})
+  /// Deserialization constructor: members are filled by OpenMapped. The tag comes first so the public (ws, options = {})
   /// constructor never competes with it in overload resolution.
   struct LoadTag {};
   UsiIndex(LoadTag, const WeightedString& ws);
@@ -306,8 +283,7 @@ class UsiIndex : public QueryEngine {
   struct BuildTag {};
   UsiIndex(BuildTag, const WeightedString& ws, const UsiOptions& options);
 
-  bool SaveV2Body(BinaryWriter& writer) const;
-  bool SaveV3Body(BinaryWriter& writer, const SaveOptions& save_options) const;
+  bool SaveBody(BinaryWriter& writer, const SaveOptions& save_options) const;
 
   /// Shared body of both QueryBatch overloads; P is Text or PatternSpan.
   template <typename P>
@@ -319,15 +295,15 @@ class UsiIndex : public QueryEngine {
   GlobalUtilityKind kind_;
   UsiMiner miner_ = UsiMiner::kExact;
   KarpRabinHasher hasher_;
-  /// Owned SA storage (built / v2-loaded indexes; empty when mapped).
+  /// Owned SA storage (built indexes; empty when mapped).
   std::vector<index_t> sa_;
   /// The SA every query path reads: views sa_ or the mapped file image.
   std::span<const index_t> sa_span_;
   PrefixSumWeights psw_;
   FingerprintTable<TableValue> table_;
-  /// Learned last-mile model for table misses. Owns its arrays for built /
-  /// v2-loaded indexes; views the mapped learned section for OpenMapped
-  /// ones (the mapping outlives the model).
+  /// Learned last-mile model for table misses. Owns its arrays for built
+  /// indexes; views the mapped learned section for OpenMapped ones (the
+  /// mapping outlives the model).
   LearnedSa learned_;
   ExhaustiveQueryEngine fallback_;
   UsiBuildInfo build_info_;

@@ -85,7 +85,7 @@ void RunConfiguration(const TextCase& text_case, UsiMiner miner,
 
   const std::string path = ::testing::TempDir() + "usi_differential.bin";
   ASSERT_TRUE(index.SaveToFile(path));
-  const std::unique_ptr<UsiIndex> restored = UsiIndex::LoadFromFile(ws, path);
+  const std::unique_ptr<UsiIndex> restored = UsiIndex::OpenMapped(ws, path);
   ASSERT_NE(restored, nullptr);
 
   int table_hits = 0;

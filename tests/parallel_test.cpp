@@ -313,11 +313,11 @@ TEST(QueryEngineInterface, EnginesReportNamesAndConcurrency) {
   UsiIndex uat(ws, approx);
   EXPECT_STREQ(uat.Name(), "UAT");
 
-  // The miner survives a save/load round trip (serialized since format v2),
+  // The miner survives a save/open round trip (the v3 header carries it),
   // so a restored UAT index does not misreport itself as UET.
   const std::string path = TempPath("usi_uat_roundtrip.bin");
   ASSERT_TRUE(uat.SaveToFile(path));
-  const std::unique_ptr<UsiIndex> restored = UsiIndex::LoadFromFile(ws, path);
+  const std::unique_ptr<UsiIndex> restored = UsiIndex::OpenMapped(ws, path);
   ASSERT_NE(restored, nullptr);
   EXPECT_STREQ(restored->Name(), "UAT");
 

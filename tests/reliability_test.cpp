@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <latch>
 #include <string>
@@ -239,8 +240,7 @@ TEST_F(ReliabilityTest, PercentDrawsReplayDeterministically) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed load errors (satellite: LoadError out-param from LoadFromFile /
-// OpenMapped).
+// Typed load errors (the LoadError out-param of OpenMapped).
 
 TEST_F(ReliabilityTest, LoadErrorsAreTyped) {
   const WeightedString ws = RandomWeighted(2000, 8, 11);
@@ -250,21 +250,17 @@ TEST_F(ReliabilityTest, LoadErrorsAreTyped) {
   const UsiIndex index(ws, options);
   const std::string dir = ::testing::TempDir();
   const std::string v3 = dir + "reliab_load_v3.bin";
-  const std::string v2 = dir + "reliab_load_v2.bin";
   const std::string junk = dir + "reliab_load_junk.bin";
   ASSERT_TRUE(index.SaveToFile(v3, IndexFileFormat::kV3Mapped));
-  ASSERT_TRUE(index.SaveToFile(v2, IndexFileFormat::kV2Heap));
 
   LoadError error;
   // Success leaves the error at kOk with no message.
-  EXPECT_NE(UsiIndex::LoadFromFile(ws, v3, &error), nullptr);
+  EXPECT_NE(UsiIndex::OpenMapped(ws, v3, {}, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kOk);
   EXPECT_TRUE(error.message.empty());
-  EXPECT_NE(UsiIndex::LoadFromFile(ws, v2, &error), nullptr);
-  EXPECT_EQ(error.code, LoadErrorCode::kOk);
 
   // Missing file.
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws, dir + "reliab_nope.bin", &error),
+  EXPECT_EQ(UsiIndex::OpenMapped(ws, dir + "reliab_nope.bin", {}, &error),
             nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kNotFound);
   EXPECT_FALSE(error.message.empty());
@@ -274,7 +270,21 @@ TEST_F(ReliabilityTest, LoadErrorsAreTyped) {
     std::ofstream out(junk, std::ios::binary);
     out << "this is not an index file at all, not even close............";
   }
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws, junk, &error), nullptr);
+  EXPECT_EQ(UsiIndex::OpenMapped(ws, junk, {}, &error), nullptr);
+  EXPECT_EQ(error.code, LoadErrorCode::kBadFormat);
+
+  // A retired v2 stream ("USI1" magic, version 2) is not servable: the
+  // verdict is kBadFormat, and the caller rebuilds from the text.
+  {
+    std::vector<char> legacy(512, '\0');
+    const u32 magic = 0x55534931;
+    const u32 version = 2;
+    std::memcpy(legacy.data(), &magic, sizeof(magic));
+    std::memcpy(legacy.data() + sizeof(magic), &version, sizeof(version));
+    std::ofstream out(junk, std::ios::binary);
+    out.write(legacy.data(), static_cast<std::streamsize>(legacy.size()));
+  }
+  EXPECT_EQ(UsiIndex::OpenMapped(ws, junk, {}, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kBadFormat);
 
   // Truncated v3 image: the header pins the exact file size.
@@ -293,11 +303,8 @@ TEST_F(ReliabilityTest, LoadErrorsAreTyped) {
   const WeightedString other = RandomWeighted(2100, 8, 12);
   EXPECT_EQ(UsiIndex::OpenMapped(other, v3, {}, &error), nullptr);
   EXPECT_EQ(error.code, LoadErrorCode::kTextMismatch);
-  EXPECT_EQ(UsiIndex::LoadFromFile(other, v2, &error), nullptr);
-  EXPECT_EQ(error.code, LoadErrorCode::kTextMismatch);
 
   std::remove(v3.c_str());
-  std::remove(v2.c_str());
   std::remove(junk.c_str());
 }
 
@@ -310,9 +317,7 @@ TEST_F(ReliabilityTest, LoadFailpointsInjectIoErrors) {
   const UsiIndex index(ws, options);
   const std::string dir = ::testing::TempDir();
   const std::string v3 = dir + "reliab_fp_v3.bin";
-  const std::string v2 = dir + "reliab_fp_v2.bin";
   ASSERT_TRUE(index.SaveToFile(v3, IndexFileFormat::kV3Mapped));
-  ASSERT_TRUE(index.SaveToFile(v2, IndexFileFormat::kV2Heap));
 
   LoadError error;
   failpoint::Arm("open.mapped", failpoint::Action::kError, /*fires=*/1);
@@ -321,13 +326,7 @@ TEST_F(ReliabilityTest, LoadFailpointsInjectIoErrors) {
   EXPECT_NE(UsiIndex::OpenMapped(ws, v3, {}, &error), nullptr)
       << "fire budget exhausted: the next open must succeed";
 
-  failpoint::Arm("load.v2", failpoint::Action::kError, /*fires=*/1);
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws, v2, &error), nullptr);
-  EXPECT_EQ(error.code, LoadErrorCode::kIo);
-  EXPECT_NE(UsiIndex::LoadFromFile(ws, v2, &error), nullptr);
-
   std::remove(v3.c_str());
-  std::remove(v2.c_str());
 }
 
 TEST_F(ReliabilityTest, SaveFailpointsLeaveNoPartialFile) {
@@ -750,6 +749,61 @@ TEST_F(ReliabilityTest, MappedFaultFailsBatchThenRecovers) {
   batch = service.QueryBatch(queries);
   EXPECT_EQ(batch.status, ServeStatus::kOk);
   ExpectSameResults(batch.results, want);
+  std::remove(path.c_str());
+}
+
+// A mapped fault must not resurrect old content: with an UpdateText queued
+// before the fault, the recovery of the faulted generation and the newer
+// build race for the build lane, and whichever runs first, the newer
+// content is what serves afterwards.
+TEST_F(ReliabilityTest, MappedFaultRecoveryNeverClobbersQueuedUpdate) {
+  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
+  const WeightedString ws1 = RandomWeighted(3000, 8, 131);
+  const WeightedString ws2 = RandomWeighted(3000, 8, 132);
+  UsiOptions build;
+  build.k = 150;
+  build.threads = 1;
+  const std::string path = ::testing::TempDir() + "reliab_mapped_update.bin";
+  ASSERT_TRUE(
+      UsiIndex(ws1, build).SaveToFile(path, IndexFileFormat::kV3Mapped));
+
+  // Park the only worker: the update queues behind it and cannot build.
+  ThreadPool pool(1);
+  std::latch started(1);
+  std::latch release(1);
+  pool.Run([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  UsiMultiServiceOptions options;
+  options.default_build = build;
+  UsiMultiService service(&pool, options);
+  ASSERT_GT(service.RegisterTextFromFile("m", ws1, path), 0u);
+  ASSERT_GT(service.UpdateText("m", ws2), 0u);
+
+  // One batch against the still-serving mapped generation faults it; the
+  // demotion schedules a recovery behind the queued update.
+  const std::vector<Text> patterns = PatternsFor(ws2, 133);
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"m", p});
+  failpoint::Arm("serve.mapped_fault", failpoint::Action::kError,
+                 /*fires=*/1);
+  EXPECT_EQ(service.QueryBatch(queries).status,
+            ServeStatus::kIndexUnavailable);
+  release.count_down();
+
+  ASSERT_EQ(service.WaitForText("m"), BuildState::kReady);
+  const MultiBatchResult batch = service.QueryBatch(queries);
+  ASSERT_EQ(batch.status, ServeStatus::kOk);
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const QueryResult want =
+        testing::BruteUtility(ws2, patterns[i], GlobalUtilityKind::kSum);
+    EXPECT_EQ(batch.results[i].occurrences, want.occurrences)
+        << "pattern " << i;
+    EXPECT_NEAR(batch.results[i].utility, want.utility, 1e-9)
+        << "pattern " << i;
+  }
   std::remove(path.c_str());
 }
 

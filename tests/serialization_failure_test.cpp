@@ -1,9 +1,11 @@
-// Serialization failure modes, across both on-disk formats: the loaders
-// must return nullptr — never crash, never return a half-initialized index —
-// on truncated files, corrupted headers/directories, trailing bytes, and a
+// Serialization failure modes of the v3 section file: OpenMapped must return
+// nullptr — never crash, never return a half-initialized index — on
+// truncated files, corrupted headers/directories, trailing bytes, and a
 // weighted string whose length does not match the saved index. The
-// crash-injection suite at the bottom SIGKILLs real saves mid-flight and
-// requires the atomic publish protocol to keep the published path loadable.
+// publish-protocol cases cover the write side (staging, stale-temp sweep,
+// ENOSPC at close), and the crash-injection suite at the bottom SIGKILLs
+// real saves mid-flight and requires the atomic publish protocol to keep
+// the published path loadable.
 
 #include <gtest/gtest.h>
 
@@ -36,291 +38,6 @@ std::vector<char> ReadAll(const std::string& path) {
 void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-/// Fixture: one saved index plus its raw bytes, shared by every failure case.
-class SerializationFailureTest : public ::testing::Test {
- protected:
-  // Mirrors the SaveToFile fixed header: magic u32 + version u32 + n u32 +
-  // kind u8 + miner u8 + hasher base u64 + k u64 + tau_k u32 +
-  // num_lengths u32. The suffix-array vector (u64 length + payload) follows
-  // immediately.
-  static constexpr std::size_t kKindOffset = 4 + 4 + 4;
-  static constexpr std::size_t kMinerOffset = kKindOffset + 1;
-  static constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 1 + 1 + 8 + 8 + 4 + 4;
-  static constexpr std::size_t kSaLengthOffset = kHeaderBytes;
-
-  std::size_t EntriesLengthOffset() const {
-    return kSaLengthOffset + 8 + ws_.size() * sizeof(index_t);
-  }
-
-  void SetUp() override {
-    ws_ = testing::RandomWeighted(200, 3, 99);
-    UsiOptions options;
-    options.k = 25;
-    index_ = std::make_unique<UsiIndex>(ws_, options);
-    path_ = ::testing::TempDir() + "usi_serialization_good.bin";
-    mutated_path_ = ::testing::TempDir() + "usi_serialization_bad.bin";
-    ASSERT_TRUE(index_->SaveToFile(path_));
-    bytes_ = ReadAll(path_);
-    ASSERT_GT(bytes_.size(), 16u);
-  }
-
-  void TearDown() override {
-    std::remove(path_.c_str());
-    std::remove(mutated_path_.c_str());
-  }
-
-  WeightedString ws_;
-  std::unique_ptr<UsiIndex> index_;
-  std::string path_;
-  std::string mutated_path_;
-  std::vector<char> bytes_;
-};
-
-TEST_F(SerializationFailureTest, IntactFileRoundTrips) {
-  const std::unique_ptr<UsiIndex> restored = UsiIndex::LoadFromFile(ws_, path_);
-  ASSERT_NE(restored, nullptr);
-  for (index_t i = 0; i + 4 <= ws_.size(); i += 7) {
-    const Text pattern = ws_.Fragment(i, 4);
-    EXPECT_EQ(restored->Query(pattern).occurrences,
-              index_->Query(pattern).occurrences);
-    EXPECT_NEAR(restored->Query(pattern).utility, index_->Query(pattern).utility,
-                1e-12);
-  }
-}
-
-TEST_F(SerializationFailureTest, MissingFileReturnsNull) {
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws_, ::testing::TempDir() +
-                                            "usi_no_such_index.bin"),
-            nullptr);
-}
-
-TEST_F(SerializationFailureTest, EveryTruncationReturnsNull) {
-  // Every proper prefix of the file must be rejected: each cut lands inside a
-  // different field (magic, header scalar, vector length, vector payload).
-  for (std::size_t cut = 0; cut < bytes_.size(); ++cut) {
-    WriteAll(mutated_path_,
-             std::vector<char>(bytes_.begin(),
-                               bytes_.begin() + static_cast<std::ptrdiff_t>(cut)));
-    EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr)
-        << "truncation at byte " << cut << " of " << bytes_.size();
-  }
-}
-
-TEST_F(SerializationFailureTest, CorruptedMagicReturnsNull) {
-  for (std::size_t byte = 0; byte < 4; ++byte) {
-    std::vector<char> mutated = bytes_;
-    mutated[byte] = static_cast<char>(mutated[byte] ^ 0x5A);
-    WriteAll(mutated_path_, mutated);
-    EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr)
-        << "magic byte " << byte;
-  }
-}
-
-TEST_F(SerializationFailureTest, UnknownVersionReturnsNull) {
-  // The version field is the u32 after the magic.
-  for (std::size_t byte = 4; byte < 8; ++byte) {
-    std::vector<char> mutated = bytes_;
-    mutated[byte] = static_cast<char>(mutated[byte] ^ 0xFF);
-    WriteAll(mutated_path_, mutated);
-    EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr)
-        << "version byte " << byte;
-  }
-}
-
-TEST_F(SerializationFailureTest, CorruptedTextLengthReturnsNull) {
-  // The text-length field is the u32 after magic + version; any change makes
-  // it disagree with the weighted string being loaded against.
-  for (std::size_t byte = 8; byte < 12; ++byte) {
-    std::vector<char> mutated = bytes_;
-    mutated[byte] = static_cast<char>(mutated[byte] ^ 0x01);
-    WriteAll(mutated_path_, mutated);
-    EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr)
-        << "length byte " << byte;
-  }
-}
-
-TEST_F(SerializationFailureTest, InvalidUtilityKindReturnsNull) {
-  // Out-of-range utility-kind values must be rejected at load, not carried
-  // into query dispatch where they would silently answer U(P) = 0.
-  for (const u8 bad_kind : {u8{4}, u8{0x7F}, u8{0xFF}}) {
-    std::vector<char> mutated = bytes_;
-    mutated[kKindOffset] = static_cast<char>(bad_kind);
-    WriteAll(mutated_path_, mutated);
-    EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr)
-        << "kind byte " << static_cast<int>(bad_kind);
-  }
-}
-
-TEST_F(SerializationFailureTest, InvalidMinerReturnsNull) {
-  // Out-of-range miner values (neither UET nor UAT) must be rejected so a
-  // loaded index never misreports its Name().
-  for (const u8 bad_miner : {u8{2}, u8{0x7F}, u8{0xFF}}) {
-    std::vector<char> mutated = bytes_;
-    mutated[kMinerOffset] = static_cast<char>(bad_miner);
-    WriteAll(mutated_path_, mutated);
-    EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr)
-        << "miner byte " << static_cast<int>(bad_miner);
-  }
-}
-
-TEST_F(SerializationFailureTest, InvalidHasherBaseReturnsNull) {
-  // The Karp-Rabin base (u64 after the kind + miner bytes) must be
-  // range-checked at load; FromBase aborts on out-of-range values, so an
-  // unvalidated field would crash instead of returning nullptr. Cover both
-  // sides of the valid range: all-0xFF (>= the Mersenne prime) and all-zero
-  // (< 257).
-  const std::size_t base_offset = kMinerOffset + 1;
-  for (const u8 fill : {u8{0xFF}, u8{0x00}}) {
-    std::vector<char> mutated = bytes_;
-    for (std::size_t i = 0; i < 8; ++i) {
-      mutated[base_offset + i] = static_cast<char>(fill);
-    }
-    WriteAll(mutated_path_, mutated);
-    EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr)
-        << "base fill 0x" << std::hex << static_cast<int>(fill);
-  }
-}
-
-TEST_F(SerializationFailureTest, MismatchedWeightedStringReturnsNull) {
-  const WeightedString shorter = ws_.Prefix(ws_.size() - 1);
-  EXPECT_EQ(UsiIndex::LoadFromFile(shorter, path_), nullptr);
-  const WeightedString longer = testing::RandomWeighted(ws_.size() + 1, 3, 99);
-  EXPECT_EQ(UsiIndex::LoadFromFile(longer, path_), nullptr);
-  const WeightedString empty;
-  EXPECT_EQ(UsiIndex::LoadFromFile(empty, path_), nullptr);
-}
-
-TEST_F(SerializationFailureTest, HugeVectorLengthReturnsNull) {
-  // Overwrite the suffix-array length (the u64 straight after the fixed
-  // header) with an absurd value: the reader's allocation guard must trip
-  // instead of attempting a multi-terabyte resize.
-  ASSERT_LT(kSaLengthOffset + 8, bytes_.size());
-  std::vector<char> mutated = bytes_;
-  for (std::size_t i = 0; i < 8; ++i) {
-    mutated[kSaLengthOffset + i] = static_cast<char>(0xFF);
-  }
-  WriteAll(mutated_path_, mutated);
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr);
-}
-
-TEST_F(SerializationFailureTest, OversizedVectorLengthBelowCapReturnsNull) {
-  // A corrupted length below the reader's absolute element cap but far
-  // beyond what the file holds (2^38 elements ~ 1 TB) must be rejected by
-  // the remaining-bytes bound, not attempted as an allocation.
-  std::vector<char> mutated = bytes_;
-  const u64 huge = u64{1} << 38;
-  for (std::size_t i = 0; i < 8; ++i) {
-    mutated[kSaLengthOffset + i] = static_cast<char>((huge >> (8 * i)) & 0xFF);
-  }
-  WriteAll(mutated_path_, mutated);
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr);
-
-  // An off-by-one SA length (n + 1) is rejected too — by LoadFromFile's
-  // sa_.size() == ws.size() consistency check, since the bytes of the
-  // entries section that follows can still satisfy the read.
-  mutated = bytes_;
-  const u64 off_by_one = ws_.size() + 1;
-  for (std::size_t i = 0; i < 8; ++i) {
-    mutated[kSaLengthOffset + i] =
-        static_cast<char>((off_by_one >> (8 * i)) & 0xFF);
-  }
-  WriteAll(mutated_path_, mutated);
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr);
-}
-
-TEST_F(SerializationFailureTest, OutOfRangeSaElementReturnsNull) {
-  // A corrupted SA payload value must be rejected at load; otherwise a query
-  // would use it as a text position and read PSW out of bounds.
-  for (const u32 bad_pos : {static_cast<u32>(ws_.size()), 0xFFFFFFF0u}) {
-    std::vector<char> mutated = bytes_;
-    const std::size_t first_element = kSaLengthOffset + 8;
-    std::memcpy(mutated.data() + first_element, &bad_pos, sizeof(bad_pos));
-    WriteAll(mutated_path_, mutated);
-    EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr)
-        << "sa[0] = " << bad_pos;
-  }
-}
-
-TEST_F(SerializationFailureTest, EntriesLengthBeyondFileReturnsNull) {
-  // The hash-table entries vector is the file's last section, so inflating
-  // its length by one exercises exactly the remaining-bytes bound: nothing
-  // after it can absorb the extra element.
-  const std::size_t entries_length_offset = EntriesLengthOffset();
-  ASSERT_LT(entries_length_offset + 8, bytes_.size());
-  u64 entries = 0;
-  std::memcpy(&entries, bytes_.data() + entries_length_offset, 8);
-  ASSERT_GT(entries, 0u);
-  std::vector<char> mutated = bytes_;
-  const u64 inflated = entries + 1;
-  std::memcpy(mutated.data() + entries_length_offset, &inflated, 8);
-  WriteAll(mutated_path_, mutated);
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr);
-}
-
-TEST_F(SerializationFailureTest, TrailingGarbageReturnsNull) {
-  // Bytes after the entry vector are not forward-compat slack — the vector
-  // is the format's last payload, so anything following it means a
-  // concatenated, extended, or doctored file. The exact-consumption check
-  // must reject it rather than serve whatever prefix happened to parse.
-  for (const std::size_t extra : {std::size_t{1}, std::size_t{64}}) {
-    std::vector<char> mutated = bytes_;
-    mutated.insert(mutated.end(), extra, static_cast<char>(0xAB));
-    WriteAll(mutated_path_, mutated);
-    EXPECT_EQ(UsiIndex::LoadFromFile(ws_, mutated_path_), nullptr)
-        << extra << " trailing bytes";
-  }
-}
-
-TEST_F(SerializationFailureTest, SaveToUnwritablePathReturnsFalse) {
-  // The staging sibling cannot even be created; the failure must be
-  // reported, and no destination file appear.
-  const std::string bad = "/nonexistent-usi-dir/index.bin";
-  EXPECT_FALSE(index_->SaveToFile(bad));
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws_, bad), nullptr);
-}
-
-TEST_F(SerializationFailureTest, SaveLeavesNoStagingSibling) {
-  // A successful save must fully retire its `path.tmp.<pid>` staging file.
-  ASSERT_TRUE(index_->SaveToFile(path_));
-  EXPECT_EQ(RemoveStaleTemps(path_), 0);
-  ASSERT_TRUE(index_->SaveToFile(path_, IndexFileFormat::kV3Mapped));
-  EXPECT_EQ(RemoveStaleTemps(path_), 0);
-  // Restore the v2 fixture bytes for other asserts in this process.
-  WriteAll(path_, bytes_);
-}
-
-TEST_F(SerializationFailureTest, StaleTempRecoverySweep) {
-  // A crashed writer leaves only `path.tmp.<pid>` siblings; the published
-  // file still loads, and RemoveStaleTemps clears exactly the leftovers.
-  const std::string stale1 = path_ + ".tmp.12345";
-  const std::string stale2 = path_ + ".tmp.99999";
-  WriteAll(stale1, std::vector<char>(100, static_cast<char>(0x00)));
-  WriteAll(stale2, std::vector<char>(bytes_.begin(), bytes_.begin() + 20));
-  EXPECT_NE(UsiIndex::LoadFromFile(ws_, path_), nullptr);
-  EXPECT_EQ(RemoveStaleTemps(path_), 2);
-  EXPECT_EQ(RemoveStaleTemps(path_), 0);
-  std::ifstream gone1(stale1), gone2(stale2);
-  EXPECT_FALSE(gone1.good());
-  EXPECT_FALSE(gone2.good());
-  // The published file itself is never touched by the sweep.
-  EXPECT_NE(UsiIndex::LoadFromFile(ws_, path_), nullptr);
-}
-
-TEST_F(SerializationFailureTest, WriterCloseReportsEnospc) {
-  // stdio buffers writes, so an out-of-space condition commonly surfaces
-  // only at the final flush — exactly what Close() exists to observe.
-  // /dev/full fails every flush with ENOSPC; skip where it is absent.
-  if (!std::ofstream("/dev/full").good()) {
-    GTEST_SKIP() << "/dev/full not available";
-  }
-  BinaryWriter writer("/dev/full");
-  ASSERT_TRUE(writer.ok());
-  const std::vector<char> payload(256, 'x');
-  writer.WriteRaw(payload.data(), payload.size());
-  EXPECT_FALSE(writer.Close());
-  EXPECT_FALSE(writer.ok());
 }
 
 /// v3 (mapped) failure modes: OpenMapped must return nullptr — never crash,
@@ -362,18 +79,27 @@ class SerializationFailureV3Test : public ::testing::Test {
   std::vector<char> bytes_;
 };
 
-TEST_F(SerializationFailureV3Test, IntactFileOpensAndDispatches) {
-  // Both the explicit opener and the magic-dispatching loader must serve
-  // the mapped image, including under deep verification.
+TEST_F(SerializationFailureV3Test, IntactFileOpensAndAnswers) {
+  // The intact image opens — shallow and under deep verification — and
+  // answers like the index it was saved from.
   std::unique_ptr<UsiIndex> opened = UsiIndex::OpenMapped(ws_, path_);
   ASSERT_NE(opened, nullptr);
   EXPECT_TRUE(opened->IsMapped());
   UsiIndex::OpenOptions deep;
   deep.deep_verify = true;
   EXPECT_NE(UsiIndex::OpenMapped(ws_, path_, deep), nullptr);
-  std::unique_ptr<UsiIndex> dispatched = UsiIndex::LoadFromFile(ws_, path_);
-  ASSERT_NE(dispatched, nullptr);
-  EXPECT_TRUE(dispatched->IsMapped());
+  for (index_t i = 0; i + 4 <= ws_.size(); i += 7) {
+    const Text pattern = ws_.Fragment(i, 4);
+    EXPECT_EQ(opened->Query(pattern).occurrences,
+              index_->Query(pattern).occurrences);
+    EXPECT_EQ(opened->Query(pattern).utility, index_->Query(pattern).utility);
+  }
+}
+
+TEST_F(SerializationFailureV3Test, MissingFileReturnsNull) {
+  EXPECT_EQ(UsiIndex::OpenMapped(ws_, ::testing::TempDir() +
+                                          "usi_no_such_index.bin"),
+            nullptr);
 }
 
 TEST_F(SerializationFailureV3Test, EveryTruncationReturnsNull) {
@@ -453,11 +179,52 @@ TEST_F(SerializationFailureV3Test, ResealedBadDirectoryReturnsNull) {
   EXPECT_EQ(UsiIndex::OpenMapped(ws_, mutated_path_), nullptr);
 }
 
+TEST_F(SerializationFailureV3Test, ResealedBadScalarsReturnNull) {
+  // The scalar range checks sit behind the header checksum, so only a
+  // re-sealed header reaches them. Each must refuse the file as corrupt
+  // rather than carry the value into serving.
+  format_v3::FileHeader header;
+  std::memcpy(&header, bytes_.data(), sizeof(header));
+  const auto expect_corrupt = [&](const format_v3::FileHeader& bad,
+                                  const char* what) {
+    std::vector<char> mutated = bytes_;
+    std::memcpy(mutated.data(), &bad, sizeof(bad));
+    ResealHeaderChecksum(&mutated);
+    WriteAll(mutated_path_, mutated);
+    LoadError error;
+    EXPECT_EQ(UsiIndex::OpenMapped(ws_, mutated_path_, {}, &error), nullptr)
+        << what;
+    EXPECT_EQ(error.code, LoadErrorCode::kCorrupt) << what;
+  };
+  // An out-of-range utility kind would silently answer U(P) = 0.
+  for (const u8 bad_kind : {u8{4}, u8{0x7F}, u8{0xFF}}) {
+    format_v3::FileHeader bad = header;
+    bad.kind = bad_kind;
+    expect_corrupt(bad, "utility kind byte");
+  }
+  // An out-of-range miner would make the index misreport its Name().
+  for (const u8 bad_miner : {u8{2}, u8{0x7F}, u8{0xFF}}) {
+    format_v3::FileHeader bad = header;
+    bad.miner = bad_miner;
+    expect_corrupt(bad, "miner byte");
+  }
+  // FromBase aborts on an out-of-range Karp-Rabin base, so an unchecked
+  // field would crash instead of refusing. Both sides of the valid range:
+  // all-0xFF (>= the Mersenne prime) and zero (< 257).
+  for (const u64 bad_base : {~u64{0}, u64{0}}) {
+    format_v3::FileHeader bad = header;
+    bad.base = bad_base;
+    expect_corrupt(bad, "Karp-Rabin base");
+  }
+}
+
 TEST_F(SerializationFailureV3Test, MismatchedWeightedStringReturnsNull) {
   const WeightedString shorter = ws_.Prefix(ws_.size() - 1);
   EXPECT_EQ(UsiIndex::OpenMapped(shorter, path_), nullptr);
   const WeightedString longer = testing::RandomWeighted(ws_.size() + 1, 4, 7);
   EXPECT_EQ(UsiIndex::OpenMapped(longer, path_), nullptr);
+  const WeightedString empty;
+  EXPECT_EQ(UsiIndex::OpenMapped(empty, path_), nullptr);
 }
 
 TEST_F(SerializationFailureV3Test, PayloadCorruptionCaughtByDeepVerify) {
@@ -498,6 +265,53 @@ TEST_F(SerializationFailureV3Test, PayloadCorruptionCaughtByDeepVerify) {
   EXPECT_EQ(UsiIndex::OpenMapped(ws_, mutated_path_, deep), nullptr);
 }
 
+TEST_F(SerializationFailureV3Test, SaveToUnwritablePathReturnsFalse) {
+  // The staging sibling cannot even be created; the failure must be
+  // reported, and no destination file appear.
+  const std::string bad = "/nonexistent-usi-dir/index.bin";
+  EXPECT_FALSE(index_->SaveToFile(bad));
+  EXPECT_EQ(UsiIndex::OpenMapped(ws_, bad), nullptr);
+}
+
+TEST_F(SerializationFailureV3Test, SaveLeavesNoStagingSibling) {
+  // A successful save must fully retire its `path.tmp.<pid>` staging file.
+  ASSERT_TRUE(index_->SaveToFile(path_));
+  EXPECT_EQ(RemoveStaleTemps(path_), 0);
+  EXPECT_EQ(ReadAll(path_), bytes_) << "re-save must reproduce the bytes";
+}
+
+TEST_F(SerializationFailureV3Test, StaleTempRecoverySweep) {
+  // A crashed writer leaves only `path.tmp.<pid>` siblings; the published
+  // file still opens, and RemoveStaleTemps clears exactly the leftovers.
+  const std::string stale1 = path_ + ".tmp.12345";
+  const std::string stale2 = path_ + ".tmp.99999";
+  WriteAll(stale1, std::vector<char>(100, static_cast<char>(0x00)));
+  WriteAll(stale2, std::vector<char>(bytes_.begin(), bytes_.begin() + 20));
+  EXPECT_NE(UsiIndex::OpenMapped(ws_, path_), nullptr);
+  EXPECT_EQ(RemoveStaleTemps(path_), 2);
+  EXPECT_EQ(RemoveStaleTemps(path_), 0);
+  std::ifstream gone1(stale1), gone2(stale2);
+  EXPECT_FALSE(gone1.good());
+  EXPECT_FALSE(gone2.good());
+  // The published file itself is never touched by the sweep.
+  EXPECT_NE(UsiIndex::OpenMapped(ws_, path_), nullptr);
+}
+
+TEST_F(SerializationFailureV3Test, WriterCloseReportsEnospc) {
+  // stdio buffers writes, so an out-of-space condition commonly surfaces
+  // only at the final flush — exactly what Close() exists to observe.
+  // /dev/full fails every flush with ENOSPC; skip where it is absent.
+  if (!std::ofstream("/dev/full").good()) {
+    GTEST_SKIP() << "/dev/full not available";
+  }
+  BinaryWriter writer("/dev/full");
+  ASSERT_TRUE(writer.ok());
+  const std::vector<char> payload(256, 'x');
+  writer.WriteRaw(payload.data(), payload.size());
+  EXPECT_FALSE(writer.Close());
+  EXPECT_FALSE(writer.ok());
+}
+
 /// Crash injection: SIGKILL a child process mid-save, at shifting points of
 /// the write/publish window, and require the published path to always hold
 /// a loadable image — the atomic-publish invariant, end to end.
@@ -510,15 +324,14 @@ TEST_P(CrashInjectionTest, KilledSaveNeverCorruptsPublishedFile) {
   options.k = 100;
   const UsiIndex index(ws, options);
   const std::string path =
-      ::testing::TempDir() + "usi_crash_injection_" +
-      (format == IndexFileFormat::kV3Mapped ? "v3" : "v2") + ".bin";
+      ::testing::TempDir() + "usi_crash_injection_v3.bin";
   std::remove(path.c_str());
 
   // Establish a good generation first: every post-crash check below then
   // asserts the strong form of the invariant (the path always loads, not
   // merely "absent or loads").
   ASSERT_TRUE(index.SaveToFile(path, format));
-  ASSERT_NE(UsiIndex::LoadFromFile(ws, path), nullptr);
+  ASSERT_NE(UsiIndex::OpenMapped(ws, path), nullptr);
 
   // Kill points sweep the save duration: early kills land mid-staging,
   // late ones straddle fsync/rename. The child re-saves in a tight loop so
@@ -537,7 +350,7 @@ TEST_P(CrashInjectionTest, KilledSaveNeverCorruptsPublishedFile) {
     ASSERT_EQ(::waitpid(child, &status, 0), child);
     ASSERT_TRUE(WIFSIGNALED(status));
 
-    const std::unique_ptr<UsiIndex> survivor = UsiIndex::LoadFromFile(ws, path);
+    const std::unique_ptr<UsiIndex> survivor = UsiIndex::OpenMapped(ws, path);
     ASSERT_NE(survivor, nullptr) << "corrupt image after kill round " << round;
     const Text pattern = ws.Fragment(7, 5);
     EXPECT_EQ(survivor->Query(pattern).occurrences,
@@ -550,8 +363,7 @@ TEST_P(CrashInjectionTest, KilledSaveNeverCorruptsPublishedFile) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, CrashInjectionTest,
-                         ::testing::Values(IndexFileFormat::kV2Heap,
-                                           IndexFileFormat::kV3Mapped));
+                         ::testing::Values(IndexFileFormat::kV3Mapped));
 
 }  // namespace
 }  // namespace usi

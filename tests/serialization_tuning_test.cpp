@@ -4,6 +4,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,46 +24,46 @@ std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
 
-TEST(BinaryIo, RoundTripScalarsAndVectors) {
+TEST(BinaryIo, WritesRawBytesAndPadsToOffsets) {
   const std::string path = TempPath("binary_io_roundtrip.bin");
+  const u32 magic = 0xDEADBEEF;
+  const double value = 3.25;
   {
     BinaryWriter writer(path);
-    writer.Write<u32>(0xDEADBEEF);
-    writer.Write<double>(3.25);
-    writer.WriteVector(std::vector<index_t>{1, 2, 3});
-    writer.WriteVector(std::vector<u64>{});
-    ASSERT_TRUE(writer.ok());
+    writer.WriteRaw(&magic, sizeof(magic));
+    writer.PadTo(64);  // Section alignment: zero fill up to the offset.
+    writer.WriteRaw(&value, sizeof(value));
+    EXPECT_EQ(writer.bytes_written(), 72u);
+    ASSERT_TRUE(writer.Close());
   }
-  BinaryReader reader(path);
-  u32 magic = 0;
-  double value = 0;
-  std::vector<index_t> ints;
-  std::vector<u64> empty;
-  ASSERT_TRUE(reader.Read(&magic));
-  ASSERT_TRUE(reader.Read(&value));
-  ASSERT_TRUE(reader.ReadVector(&ints));
-  ASSERT_TRUE(reader.ReadVector(&empty));
-  EXPECT_EQ(magic, 0xDEADBEEF);
-  EXPECT_DOUBLE_EQ(value, 3.25);
-  EXPECT_EQ(ints, (std::vector<index_t>{1, 2, 3}));
-  EXPECT_TRUE(empty.empty());
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  ASSERT_EQ(bytes.size(), 72u);
+  u32 magic_back = 0;
+  double value_back = 0;
+  std::memcpy(&magic_back, bytes.data(), sizeof(magic_back));
+  std::memcpy(&value_back, bytes.data() + 64, sizeof(value_back));
+  EXPECT_EQ(magic_back, magic);
+  EXPECT_DOUBLE_EQ(value_back, value);
+  for (std::size_t i = sizeof(magic); i < 64; ++i) EXPECT_EQ(bytes[i], 0);
 }
 
-TEST(BinaryIo, RejectsOversizedVector) {
-  const std::string path = TempPath("binary_io_oversized.bin");
-  {
-    BinaryWriter writer(path);
-    writer.Write<u64>(u64{1} << 50);  // Bogus huge length.
-  }
-  BinaryReader reader(path);
-  std::vector<u64> values;
-  EXPECT_FALSE(reader.ReadVector(&values, /*max_elements=*/1000));
+TEST(BinaryIo, PaddingBackwardsFailsTheWriter) {
+  // Writing past a section offset already is a layout bug; the writer must
+  // refuse to produce the file rather than misplace the section.
+  BinaryWriter writer(TempPath("binary_io_backwards.bin"));
+  const u64 word = 0;
+  writer.WriteRaw(&word, sizeof(word));
+  writer.PadTo(4);
+  EXPECT_FALSE(writer.ok());
+  EXPECT_FALSE(writer.Close());
 }
 
-TEST(BinaryIo, MissingFileFails) {
-  BinaryReader reader("/nonexistent/usi.bin");
-  u32 x;
-  EXPECT_FALSE(reader.Read(&x));
+TEST(BinaryIo, MissingDirectoryFails) {
+  BinaryWriter writer("/nonexistent/usi.bin");
+  EXPECT_FALSE(writer.ok());
+  EXPECT_FALSE(writer.Close());
 }
 
 TEST(TradeOffCurve, MonotoneAndConsistentWithTau) {
@@ -127,7 +131,7 @@ TEST(Serialization, SaveLoadRoundTripPreservesAnswers) {
   const std::string path = TempPath("usi_index_roundtrip.bin");
   ASSERT_TRUE(original.SaveToFile(path));
 
-  const auto loaded = UsiIndex::LoadFromFile(ws, path);
+  const auto loaded = UsiIndex::OpenMapped(ws, path);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->HashTableEntries(), original.HashTableEntries());
   EXPECT_EQ(loaded->build_info().tau_k, original.build_info().tau_k);
@@ -152,7 +156,7 @@ TEST(Serialization, RejectsWrongText) {
   const std::string path = TempPath("usi_index_wrong_text.bin");
   ASSERT_TRUE(original.SaveToFile(path));
   const WeightedString other = testing::RandomWeighted(900, 3, 8);
-  EXPECT_EQ(UsiIndex::LoadFromFile(other, path), nullptr);
+  EXPECT_EQ(UsiIndex::OpenMapped(other, path), nullptr);
 }
 
 TEST(Serialization, RejectsCorruptedFile) {
@@ -170,7 +174,7 @@ TEST(Serialization, RejectsCorruptedFile) {
     std::fclose(f);
     ASSERT_EQ(0, truncate(path.c_str(), size / 2));
   }
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws, path), nullptr);
+  EXPECT_EQ(UsiIndex::OpenMapped(ws, path), nullptr);
   // Garbage magic.
   {
     std::FILE* f = std::fopen(path.c_str(), "rb+");
@@ -178,12 +182,12 @@ TEST(Serialization, RejectsCorruptedFile) {
     std::fwrite(&garbage, sizeof(garbage), 1, f);
     std::fclose(f);
   }
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws, path), nullptr);
+  EXPECT_EQ(UsiIndex::OpenMapped(ws, path), nullptr);
 }
 
 TEST(Serialization, MissingFileReturnsNull) {
   const WeightedString ws = testing::RandomWeighted(100, 2, 1);
-  EXPECT_EQ(UsiIndex::LoadFromFile(ws, "/nonexistent/usi.bin"), nullptr);
+  EXPECT_EQ(UsiIndex::OpenMapped(ws, "/nonexistent/usi.bin"), nullptr);
 }
 
 }  // namespace
