@@ -73,24 +73,35 @@ void DegradedTier::RecordExact(const PatternKey& key,
   RecordLocked(key, hash, result);
 }
 
-void DegradedTier::RecordExact(const PatternKey& key,
-                               const QueryResult& result, u64 epoch) {
+void DegradedTier::RecordExact(std::span<const PatternKey> keys,
+                               std::span<const QueryResult> results,
+                               u64 epoch) {
+  USI_CHECK(keys.size() == results.size());
+  if (keys.empty()) return;
   if (epoch != epoch_.load(std::memory_order_acquire)) {
-    stale_drops_.fetch_add(1, std::memory_order_relaxed);
+    stale_drops_.fetch_add(keys.size(), std::memory_order_relaxed);
     return;
   }
-  const u64 hash = HashPatternKey(key);
   if (!mu_.try_lock()) {
-    record_drops_.fetch_add(1, std::memory_order_relaxed);
+    record_drops_.fetch_add(keys.size(), std::memory_order_relaxed);
     return;
   }
   std::lock_guard<std::mutex> lock(mu_, std::adopt_lock);
   // Recheck under the lock: a Clear() may have landed since the first look.
   if (epoch != epoch_.load(std::memory_order_relaxed)) {
-    stale_drops_.fetch_add(1, std::memory_order_relaxed);
+    stale_drops_.fetch_add(keys.size(), std::memory_order_relaxed);
     return;
   }
-  RecordLocked(key, hash, result);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    // A waiting Clear() is about to retire this epoch: yield the lock now
+    // rather than make the content change (an append holds its text's
+    // entry lock) wait out the whole group.
+    if (clears_waiting_.load(std::memory_order_relaxed) != 0) {
+      stale_drops_.fetch_add(keys.size() - i, std::memory_order_relaxed);
+      return;
+    }
+    RecordLocked(keys[i], HashPatternKey(keys[i]), results[i]);
+  }
 }
 
 void DegradedTier::RecordLocked(const PatternKey& key, u64 hash,
@@ -237,7 +248,9 @@ bool DegradedTier::SeenContainsLocked(u64 hash) const {
 }
 
 void DegradedTier::Clear() {
+  clears_waiting_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
+  clears_waiting_.fetch_sub(1, std::memory_order_relaxed);
   // O(1): every stamped slot of the old epoch now reads as empty. Release
   // pairs with epoch()'s acquire — a reader seeing the new epoch also sees
   // whatever the caller published before calling Clear().

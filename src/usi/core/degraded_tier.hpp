@@ -8,11 +8,18 @@
 /// PR 8 made failure *contained* — overload, quarantined builds and mapped
 /// faults return typed rejections — but a rejection still answers nothing.
 /// The degraded tier closes that gap: it observes (pattern, exact answer)
-/// pairs on the exact serving path and replays them on the degraded paths,
-/// through a two-rung ladder consulted by UsiMultiService when a batch opts
-/// in (MultiBatchOptions::allow_degraded):
+/// pairs on the exact serving path and replays them on the degraded paths.
+/// UsiMultiService consults the ladder when a batch opts in
+/// (MultiBatchOptions::allow_degraded):
 ///
-///   exact  ─► hot-pattern cache  ─► sketch estimate  ─► none (filler slot)
+///   exact ─► table H ─► hot-pattern cache ─► sketch estimate ─► none
+///
+/// The table rung is not part of this class: it is the top-K table H of
+/// the generation the batch pinned (UsiIndex::TableAnswer), used only for
+/// a *table-backed* text (below). H already stores the exact answer of
+/// every hot pattern, so it answers them with bound 0 and nothing to learn.
+/// The tier's two rungs answer what H cannot; a slot no rung answers is a
+/// kNone filler.
 ///
 /// \par Rungs and bound semantics
 ///  * **Cache** (AnswerProvenance::kCached, error_bound 0): a fixed-capacity
@@ -56,19 +63,39 @@
 ///  * bump the epoch (Clear) only AFTER the new content is visible to
 ///    readers;
 ///  * read epoch() BEFORE pinning the content a batch serves, and record
-///    through RecordExact(key, result, epoch), which drops the record when
-///    that epoch is no longer current (counted as a stale drop).
+///    through RecordExact(keys, results, epoch), which drops the records
+///    when that epoch is no longer current (counted as stale drops).
 /// A batch that pinned old content therefore either records before the
 /// bump (and the bump invalidates it) or is dropped after it.
 ///
+/// \par The record rule
+/// A text is *table-backed* for a batch when the generation it pinned sits
+/// on the heap (not mapped), no newer content has been declared
+/// (SubmitText/UpdateText), and its overlay holds no appended symbols. A
+/// table-backed serving group records only its table misses; its hits come
+/// back from H on every degraded rung. Every other group records every
+/// answer: a mapped H can sit inside a faulted mapping, and an old or
+/// extended base's H does not describe what readers see.
+///
+/// No answer goes missing. Within one content epoch a text never stops
+/// being table-backed: each event that ends it (a declaration, an append,
+/// a RegisterTextFromFile publish, a build publish) bumps the epoch, so the
+/// tier holds, in every epoch, every answer the table rung cannot give. A
+/// compaction publish does not bump, and need not: it only ever makes a
+/// text table-backed.
+///
 /// \par Exact-path cost
-/// RecordExact is called for every exactly-served query, so it is built to
-/// vanish from the hot path: all structures are fixed-capacity arrays sized
+/// The record rule keeps the tier off the hot path where H serves: on a
+/// hot workload (~95% table hits) a batch records only its few misses. The
+/// misses of one serving group are recorded together, with one epoch check
+/// and one lock acquisition. All structures are fixed-capacity arrays sized
 /// at construction (no per-operation allocation, pinned by
 /// query_alloc_test), and the tier lock is only ever *try*-acquired on the
-/// record path — under contention the update is dropped, trading a little
-/// learning for zero queueing. Degraded-path lookups take the lock (they
-/// run when the exact path is not serving).
+/// record path — under contention the group's records are dropped, trading
+/// a little learning for zero queueing. A Clear() never waits out a whole
+/// group either: a group record stops at its next answer once a Clear()
+/// is waiting (the rest would be stale at once). Degraded-path lookups
+/// take the lock (they run when the exact path is not serving).
 ///
 /// \par Thread safety
 /// All members are safe to call concurrently; one mutex guards the
@@ -147,23 +174,22 @@ class DegradedTier {
   /// The current content epoch (lock-free). Starts at 1; Clear() bumps it.
   u64 epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// Observes one exactly-served answer (the exact path calls this for
-  /// every answered query). Never blocks: under lock contention the update
-  /// is dropped. Never allocates. Records into the current epoch.
+  /// Observes one exactly-served answer. Never blocks: under lock
+  /// contention the update is dropped. Never allocates. Records into the
+  /// current epoch.
   void RecordExact(const PatternKey& key, const QueryResult& result);
 
-  /// As above, for an answer computed against the content of \p epoch
-  /// (read with epoch() before that content was pinned): dropped, and
-  /// counted in stale_drops, unless \p epoch is still current. Checked
-  /// once lock-free, then again under the lock.
-  void RecordExact(const PatternKey& key, const QueryResult& result,
-                   u64 epoch);
-
-  /// Counts \p count records a caller skipped after seeing their epoch go
-  /// stale (a whole group's records, checked once before its loop).
-  void NoteStaleDrops(u64 count) {
-    stale_drops_.fetch_add(count, std::memory_order_relaxed);
-  }
+  /// Observes one serving group's exact answers (keys[i] answered as
+  /// results[i]; equal sizes), all computed against the content of
+  /// \p epoch (read with epoch() before that content was pinned). One
+  /// epoch check and one try_lock for the whole group: every record is
+  /// dropped — counted in stale_drops — unless \p epoch is still current
+  /// (checked lock-free, then again under the lock), and every record is
+  /// dropped — counted in record_drops — when the lock is contended. A
+  /// Clear() waiting for the lock stops the loop at the next record; the
+  /// unrecorded rest count as stale drops. Never allocates.
+  void RecordExact(std::span<const PatternKey> keys,
+                   std::span<const QueryResult> results, u64 epoch);
 
   /// Degraded-path lookup: tries the cache rung then the sketch rung.
   /// On success writes utility/occurrences and tags \p out with
@@ -220,6 +246,10 @@ class DegradedTier {
   mutable std::mutex mu_;
   /// Content epoch: written only under mu_, read lock-free by epoch().
   std::atomic<u64> epoch_{1};
+  /// Clear() calls waiting for mu_: a group record in progress stops at
+  /// its next answer, so a content change waits out one record, not a
+  /// whole group.
+  std::atomic<u32> clears_waiting_{0};
 
   /// Query-popularity sketch feeding cache admission (HeavyKeeper).
   DecaySketch popularity_;

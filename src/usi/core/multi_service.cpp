@@ -30,6 +30,50 @@ namespace {
 /// pattern bytes; below the threshold the configured prior is used.
 constexpr u64 kCostCalibrationBytes = 1024;
 
+/// Appended symbols \p delta holds right now (0 without an overlay).
+index_t PinnedAppends(DeltaOverlay* delta) {
+  if (delta == nullptr) return 0;
+  auto read = delta->LockForRead();
+  return delta->AppendedLocked();
+}
+
+/// Degraded answers one batch served, and the table-rung share of them.
+struct DegradedTally {
+  std::size_t answered = 0;
+  std::size_t table = 0;
+};
+
+/// Answers one slot down the degradation ladder: the pinned generation's
+/// table H (\p table; null unless the group is table-backed), then
+/// \p tier's cache and sketch rungs (null: degradation off), else a kNone
+/// filler. An H answer is exact for the pinned content: kCached, bound 0,
+/// from_hash_table set (which tells it apart from a tier cache hit).
+void AnswerDegraded(const UsiIndex* table, DegradedTier* tier,
+                    std::span<const Symbol> pattern, QueryResult* slot,
+                    DegradedTally* tally) {
+  *slot = QueryResult{};
+  if (table != nullptr && table->TableAnswer(pattern, slot)) {
+    slot->provenance = AnswerProvenance::kCached;
+    ++tally->answered;
+    ++tally->table;
+  } else if (tier != nullptr &&
+             tier->TryAnswer(DegradedTier::KeyFor(pattern), slot)) {
+    ++tally->answered;
+  } else {
+    slot->provenance = AnswerProvenance::kNone;
+  }
+}
+
+/// AnswerDegraded for every slot of \p indices.
+void FillDegraded(const UsiIndex* table, DegradedTier* tier,
+                  std::span<const MultiQuery> queries,
+                  std::span<const u32> indices, std::span<QueryResult> results,
+                  DegradedTally* tally) {
+  for (const u32 idx : indices) {
+    AnswerDegraded(table, tier, queries[idx].pattern, &results[idx], tally);
+  }
+}
+
 }  // namespace
 
 /// One immutable index generation. The weighted string lives here because
@@ -46,6 +90,23 @@ struct UsiMultiService::Generation {
   /// generations cannot lose their backing, so a serve failure there is
   /// reported but never demotes.
   bool mapped = false;
+
+  /// Whether this generation's table H is a degraded rung for a group that
+  /// pinned it with \p declared (TextEntry::declared at the pin) and an
+  /// overlay holding \p appended symbols: H must sit on the heap (a mapped
+  /// H can be inside the faulted mapping) and must index all of the content
+  /// readers see — no newer declared content, no appends past the base.
+  bool TableBacked(u64 declared, index_t appended) const {
+    return !mapped && number >= declared && appended == 0;
+  }
+
+  /// The table rung of a group that pinned this generation with
+  /// \p declared and overlay \p delta: the index whose H it probes, or
+  /// null when the generation is not table-backed for that group.
+  const UsiIndex* TableRung(u64 declared, DeltaOverlay* delta) const {
+    return TableBacked(declared, PinnedAppends(delta)) ? index.get()
+                                                        : nullptr;
+  }
 };
 
 /// Registry slot for one named text. `current` is the generation pointer
@@ -57,7 +118,7 @@ struct UsiMultiService::TextEntry {
   std::string id;
 
   std::mutex mu;  ///< Guards current, build_options, scheduled, completed,
-                  ///< published, building, last_failed, last_error,
+                  ///< published, declared, building, last_failed, last_error,
                   ///< failed_builds, retries, removed, delta,
                   ///< delta_epoch, compaction_scheduled, appends,
                   ///< compactions, compact_publish_ns.
@@ -91,6 +152,12 @@ struct UsiMultiService::TextEntry {
   /// Highest generation number stored in `current`; a mapped-fault
   /// demotion lowers it by one to vacate the faulted number for recovery.
   u64 published = 0;
+  /// Generation number of the newest declared content: set by SubmitText
+  /// and UpdateText when they schedule, and by a RegisterTextFromFile
+  /// publish. A pinned generation older than this is not table-backed
+  /// (Generation::TableBacked): the tier was cleared for the new content,
+  /// and the old generation's H no longer describes what the text is.
+  u64 declared = 0;
   bool building = false;     ///< The build lane is on (or retrying) a job.
   bool last_failed = false;  ///< The newest terminal build outcome failed.
   std::string last_error;    ///< Cause of the most recent build failure.
@@ -130,12 +197,14 @@ struct UsiMultiService::TextEntry {
 
   /// As PinGeneration, additionally pinning the update-tier overlay in the
   /// SAME critical section: the pair describes one boundary, so a batch
-  /// can never merge a new delta into an old base (or vice versa).
-  void PinServing(std::shared_ptr<const Generation>* gen_out,
-                  std::shared_ptr<DeltaOverlay>* delta_out) {
+  /// can never merge a new delta into an old base (or vice versa). Returns
+  /// `declared` as of the pin.
+  u64 PinServing(std::shared_ptr<const Generation>* gen_out,
+                 std::shared_ptr<DeltaOverlay>* delta_out) {
     std::lock_guard<std::mutex> lock(mu);
     *gen_out = current;
     *delta_out = delta;
+    return declared;
   }
 
   /// Drops the update-tier overlay, if any; caller holds `mu`. Returns
@@ -197,6 +266,7 @@ struct UsiMultiService::BatchScratch {
     /// describe that epoch's content (or a newer one) and are dropped once
     /// the tier has moved past it.
     u64 tier_epoch = 0;
+    u64 declared = 0;  ///< TextEntry::declared as of the pin.
     std::vector<u32> indices;  ///< Positions in the incoming batch.
   };
   std::vector<Group> groups;  ///< groups[0..used) active this batch.
@@ -206,6 +276,7 @@ struct UsiMultiService::BatchScratch {
   /// copies pattern bytes.
   std::vector<PatternSpan> patterns;
   std::vector<QueryResult> results;  ///< Group-local results to scatter.
+  std::vector<PatternKey> tier_keys;  ///< Keys of one group's tier records.
   DeltaOverlay::Scratch delta_scratch;  ///< Crossing-probe reuse buffers.
 };
 
@@ -266,6 +337,7 @@ u64 UsiMultiService::SubmitText(std::string_view id, WeightedString ws,
     std::lock_guard<std::mutex> lock(entry->mu);
     entry->build_options = build_options;
     generation = ++entry->scheduled;
+    entry->declared = generation;
     // Full-content replacement supersedes the update tier: pending appends
     // describe the outgoing text.
     entry->DropDeltaLocked();
@@ -324,6 +396,10 @@ u64 UsiMultiService::RegisterTextFromFile(std::string_view id,
     // the other way round.
     if (gen->number > entry->published) {
       entry->published = gen->number;
+      // Declared at the publish, in the same critical section as the tier
+      // bump below (a SubmitText/UpdateText racing this call may already
+      // have declared a higher number).
+      entry->declared = std::max(entry->declared, gen->number);
       entry->current = std::move(gen);
       entry->last_failed = false;
       // Full-content replacement supersedes the update tier, and the upsert
@@ -360,6 +436,7 @@ u64 UsiMultiService::UpdateText(std::string_view id, WeightedString ws,
     std::lock_guard<std::mutex> lock(entry->mu);
     if (build_options != nullptr) entry->build_options = *build_options;
     generation = ++entry->scheduled;
+    entry->declared = generation;
     // Full-content replacement supersedes the update tier.
     entry->DropDeltaLocked();
     // Declared new content (see SubmitText); the publish invalidates again.
@@ -653,10 +730,14 @@ bool UsiMultiService::BuildOne(BuildJob& job) {
   UsiOptions build_options;
   {
     std::lock_guard<std::mutex> lock(entry.mu);
-    if (entry.removed) {
-      // Unregistered while queued or retrying: the publish target is gone,
-      // so the build (and any remaining retries) would be pure waste.
-      // Count the job completed and stop here.
+    if (entry.removed || job.generation <= entry.published) {
+      // Unregistered while queued or retrying, or already superseded: a
+      // newer generation published meanwhile (an older queued build behind
+      // a RegisterTextFromFile, a mapped-fault recovery behind a newer
+      // UpdateText). The publish below would refuse this generation, so
+      // the build (and any remaining retries) would be pure waste. Count
+      // the job completed and stop here. A mapped-fault recovery still
+      // builds: the demotion lowered `published` below its number.
       ++entry.completed;
       entry.building = false;
       if (job.compaction) entry.compaction_scheduled = false;
@@ -1026,7 +1107,7 @@ ServeStatus UsiMultiService::QueryBatchInto(
         std::shared_ptr<DeltaOverlay> delta;
         const u64 tier_epoch =
             entry->tier != nullptr ? entry->tier->epoch() : 0;
-        entry->PinServing(&gen, &delta);
+        const u64 declared = entry->PinServing(&gen, &delta);
         if (gen == nullptr && !(degrade && entry->tier != nullptr)) {
           cleanup();
           return ServeStatus::kNotReady;
@@ -1042,6 +1123,7 @@ ServeStatus UsiMultiService::QueryBatchInto(
         last_group->gen = std::move(gen);
         last_group->delta = std::move(delta);
         last_group->tier_epoch = tier_epoch;
+        last_group->declared = declared;
         last_group->indices.clear();
       }
       last_id = q.text_id;
@@ -1061,7 +1143,7 @@ ServeStatus UsiMultiService::QueryBatchInto(
   bool unavailable = false;
   bool degraded_used = false;
   std::size_t answered = 0;
-  std::size_t answered_degraded = 0;
+  DegradedTally tally;
   for (std::size_t k = 0; k < used_groups; ++k) {
     BatchScratch::Group& group = scratch->groups[k];
     const std::size_t n = group.indices.size();
@@ -1070,16 +1152,20 @@ ServeStatus UsiMultiService::QueryBatchInto(
         (has_deadline &&
          std::chrono::steady_clock::now() >= *batch_options.deadline)) {
       expired = true;
-      // Deadline rung: unreached slots get tier answers instead of bare
-      // defaults (status stays kDeadlineExceeded; provenance tells the
-      // caller which slots the tier filled).
-      answered_degraded += FillFromTier(tier, queries, group.indices, results);
+      // Deadline rung: unreached slots get degraded answers instead of
+      // bare defaults (status stays kDeadlineExceeded; provenance tells the
+      // caller which slots a rung filled).
+      const UsiIndex* table =
+          tier != nullptr && group.gen != nullptr
+              ? group.gen->TableRung(group.declared, group.delta.get())
+              : nullptr;
+      FillDegraded(table, tier, queries, group.indices, results, &tally);
       continue;
     }
     if (group.gen == nullptr) {
       // Quarantine rung: no servable generation, whole group from the tier
       // while the build lane retries in the background.
-      answered_degraded += FillFromTier(tier, queries, group.indices, results);
+      FillDegraded(nullptr, tier, queries, group.indices, results, &tally);
       degraded_used = true;
       group.entry->batches.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -1105,9 +1191,11 @@ ServeStatus UsiMultiService::QueryBatchInto(
     // same append snapshot. Taken only after the entry lock was released
     // (pinning) — the service-wide lock order.
     bool delta_discarded = false;
+    index_t appended = 0;
     if (group.delta != nullptr) {
       auto read = group.delta->LockForRead();
-      if (group.delta->AppendedLocked() > 0) {
+      appended = group.delta->AppendedLocked();
+      if (appended > 0) {
         if (group_status == ServeStatus::kOk) {
           const GlobalUtilityKind kind = group.gen->index->utility_kind();
           for (std::size_t j = 0; j < n; ++j) {
@@ -1142,25 +1230,41 @@ ServeStatus UsiMultiService::QueryBatchInto(
                                    std::memory_order_relaxed);
     group.entry->hash_hits.fetch_add(batch_stats.hash_hits,
                                      std::memory_order_relaxed);
+    const bool table_backed =
+        group.gen->TableBacked(group.declared, appended);
     if (group_status == ServeStatus::kOk) {
-      // Feed the tier from the exact path: every served (pattern, answer)
-      // pair is popularity evidence and a candidate cache/sketch entry.
-      // Recording happens whether or not THIS batch opted into degraded
-      // serving — learning must precede the first failure. RecordExact
-      // never blocks (try_lock, drop on contention) and never allocates.
-      // Records carry the epoch read before the pin: if the content changed
-      // since (an append, a publish), these answers may describe the old
-      // text, and the tier drops them.
+      // Feed the tier from the exact path, whether or not THIS batch opted
+      // into degraded serving — learning must precede the first failure.
+      // The record rule: a table-backed group (heap generation, no newer
+      // declared content, no appends past the base) records only its table
+      // misses, because every degraded rung answers its hits from the
+      // pinned H, exactly. Every other group records every answer: a
+      // mapped H can sit inside a faulted mapping, and an old or extended
+      // base's H does not describe what readers see.
+      //
+      // No answer goes missing: within one tier epoch a text never stops
+      // being table-backed. Each event that ends it — a SubmitText/
+      // UpdateText declaration, an AppendText, a RegisterTextFromFile
+      // publish, a build publish — bumps the epoch and forgets every
+      // record. A compaction publish does not bump, and need not: it only
+      // ever makes a text table-backed (heap base, appends folded in).
+      // Records carry the epoch read before the pin, so answers computed
+      // against content that changed since are dropped by the tier.
       if (group.entry->tier != nullptr) {
-        DegradedTier& learn = *group.entry->tier;
-        if (learn.epoch() != group.tier_epoch) {
-          learn.NoteStaleDrops(n);
-        } else {
-          for (std::size_t j = 0; j < n; ++j) {
-            learn.RecordExact(DegradedTier::KeyFor(scratch->patterns[j]),
-                              scratch->results[j], group.tier_epoch);
-          }
+        if (scratch->tier_keys.size() < n) scratch->tier_keys.resize(n);
+        // The results were scattered above, so the scratch copy compacts
+        // in place to the recorded answers.
+        std::size_t recorded = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+          if (table_backed && scratch->results[j].from_hash_table) continue;
+          scratch->tier_keys[recorded] =
+              DegradedTier::KeyFor(scratch->patterns[j]);
+          scratch->results[recorded++] = scratch->results[j];
         }
+        group.entry->tier->RecordExact(
+            std::span<const PatternKey>(scratch->tier_keys.data(), recorded),
+            std::span<const QueryResult>(scratch->results.data(), recorded),
+            group.tier_epoch);
       }
       // Cost-model calibration: only fully-served groups feed the estimate
       // (a partial group's bytes/time ratio is not the text's). Wall time
@@ -1184,9 +1288,9 @@ ServeStatus UsiMultiService::QueryBatchInto(
         // an exception out of the fallback path). Which slots it reached is
         // unknowable from here — a legitimate exact answer and a failure
         // default are both representable as zeros — so the WHOLE group is
-        // re-answered from the tier with honest provenance on every slot.
-        answered_degraded +=
-            FillFromTier(tier, queries, group.indices, results);
+        // re-answered down the ladder with honest provenance on every slot.
+        FillDegraded(table_backed ? group.gen->index.get() : nullptr, tier,
+                     queries, group.indices, results, &tally);
         degraded_used = true;
       } else {
         unavailable = true;
@@ -1228,9 +1332,7 @@ ServeStatus UsiMultiService::QueryBatchInto(
 
   batches_.fetch_add(1, std::memory_order_relaxed);
   queries_.fetch_add(answered, std::memory_order_relaxed);
-  if (answered_degraded != 0) {
-    degraded_answers_.fetch_add(answered_degraded, std::memory_order_relaxed);
-  }
+  NoteDegraded(tally.answered, tally.table);
   if (expired) deadline_expired_.fetch_add(1, std::memory_order_relaxed);
   if (unavailable) {
     index_unavailable_.fetch_add(1, std::memory_order_relaxed);
@@ -1245,22 +1347,14 @@ ServeStatus UsiMultiService::QueryBatchInto(
   return ServeStatus::kOk;
 }
 
-std::size_t UsiMultiService::FillFromTier(DegradedTier* tier,
-                                          std::span<const MultiQuery> queries,
-                                          std::span<const u32> indices,
-                                          std::span<QueryResult> results) {
-  std::size_t filled = 0;
-  for (const u32 idx : indices) {
-    QueryResult& slot = results[idx];
-    slot = QueryResult{};
-    if (tier != nullptr &&
-        tier->TryAnswer(DegradedTier::KeyFor(queries[idx].pattern), &slot)) {
-      ++filled;
-    } else {
-      slot.provenance = AnswerProvenance::kNone;
-    }
+void UsiMultiService::NoteDegraded(std::size_t answered,
+                                   std::size_t table) {
+  if (answered != 0) {
+    degraded_answers_.fetch_add(answered, std::memory_order_relaxed);
   }
-  return filled;
+  if (table != 0) {
+    degraded_table_answers_.fetch_add(table, std::memory_order_relaxed);
+  }
 }
 
 ServeStatus UsiMultiService::ServeDegradedBatch(
@@ -1277,29 +1371,31 @@ ServeStatus UsiMultiService::ServeDegradedBatch(
       have_last = true;
     }
   }
-  std::size_t filled = 0;
+  DegradedTally tally;
   std::string_view last_id{};
   EntryPtr entry;
+  DegradedTier* tier = nullptr;
+  // The text's pin, held while its slots are answered: a table-backed
+  // text's H answers its hits (see the record rule in QueryBatchInto).
+  std::shared_ptr<const Generation> gen;
+  std::shared_ptr<DeltaOverlay> delta;
+  const UsiIndex* table = nullptr;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const MultiQuery& q = queries[i];
     if (entry == nullptr || q.text_id != last_id) {
       entry = FindEntry(q.text_id);  // May be gone since validation: kNone.
       last_id = q.text_id;
+      tier = entry == nullptr ? nullptr : entry->tier.get();
+      table = nullptr;
+      if (tier != nullptr) {
+        const u64 declared = entry->PinServing(&gen, &delta);
+        if (gen != nullptr) table = gen->TableRung(declared, delta.get());
+      }
     }
-    QueryResult& slot = results[i];
-    slot = QueryResult{};
-    DegradedTier* tier = entry == nullptr ? nullptr : entry->tier.get();
-    if (tier != nullptr &&
-        tier->TryAnswer(DegradedTier::KeyFor(q.pattern), &slot)) {
-      ++filled;
-    } else {
-      slot.provenance = AnswerProvenance::kNone;
-    }
+    AnswerDegraded(table, tier, q.pattern, &results[i], &tally);
   }
   degraded_batches_.fetch_add(1, std::memory_order_relaxed);
-  if (filled != 0) {
-    degraded_answers_.fetch_add(filled, std::memory_order_relaxed);
-  }
+  NoteDegraded(tally.answered, tally.table);
   return ServeStatus::kDegraded;
 }
 
@@ -1383,6 +1479,8 @@ UsiMultiStats UsiMultiService::stats() const {
       degraded_batches_.load(std::memory_order_relaxed);
   stats.degraded_answers =
       degraded_answers_.load(std::memory_order_relaxed);
+  stats.degraded_table_answers =
+      degraded_table_answers_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(build_mu_);
     stats.builds_scheduled = builds_scheduled_;

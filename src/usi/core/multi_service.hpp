@@ -80,9 +80,12 @@
 /// that records exact answers as they are served. A batch that opts in
 /// (MultiBatchOptions::allow_degraded) falls through the degradation ladder
 /// instead of being rejected: overload/busy sheds serve the whole batch
-/// from the tiers, a quarantined or faulted text answers from its tier
-/// while the build lane retries, and deadline expiry fills unreached slots
-/// from the tier. Such batches return ServeStatus::kDegraded (or keep
+/// down the ladder, a quarantined or faulted text answers from it while
+/// the build lane retries, and deadline expiry fills unreached slots from
+/// it. For a table-backed text (heap generation, no pending content
+/// declaration, no appends past the base) the first rung is the pinned
+/// generation's own table H, which answers hot patterns exactly; the tier
+/// then records only that text's table misses. Such batches return ServeStatus::kDegraded (or keep
 /// kDeadlineExceeded) with per-result provenance and error bounds.
 /// Tier answers always describe the content a reader can see: every
 /// content change (an append, a rebuild or registration publish, a dropped
@@ -192,9 +195,12 @@ struct UsiMultiServiceOptions {
   index_t delta_context = 512;
   /// Graceful degradation: every registered text carries a DegradedTier
   /// that observes exact answers and serves bounded-error ones on the
-  /// degraded paths (see MultiBatchOptions::allow_degraded). Disabling
-  /// removes the per-text memory cost and makes allow_degraded a no-op
-  /// (batches fail with the PR 8 statuses instead).
+  /// degraded paths (see MultiBatchOptions::allow_degraded). A table-backed
+  /// text feeds it only its table misses (its hits are answered from H);
+  /// every other text feeds it every answer. Disabling removes the
+  /// per-text memory cost and the record work, and makes allow_degraded a
+  /// no-op, table rung included (batches fail with the typed rejection
+  /// statuses instead).
   bool enable_degraded_tier = true;
   /// Per-text tier geometry (cache capacity, sketch width/depth, ...).
   DegradedTierOptions degraded = {};
@@ -207,16 +213,23 @@ struct MultiBatchOptions {
   /// batch stages). Expired batches return kDeadlineExceeded with partial
   /// results. nullopt = no deadline.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Opt-in to the degradation ladder (exact -> hot-pattern cache -> sketch
-  /// estimate -> none): instead of rejecting, an overloaded/busy batch, a
-  /// text with no servable generation (quarantined build lane) or a group
-  /// that lost its index mid-serve is answered from the text's DegradedTier
-  /// and the batch returns kDegraded with every slot written — each answer
-  /// tagged with its provenance and error bound (QueryResult::provenance /
-  /// error_bound). A deadline-expired batch additionally fills *unreached*
-  /// slots from the tier (status stays kDeadlineExceeded; provenance says
-  /// which slots are tier answers). Off by default: callers that cannot
-  /// consume approximate answers keep the PR 8 fail-clean behavior.
+  /// Opt-in to the degradation ladder (exact -> table H -> hot-pattern
+  /// cache -> sketch estimate -> none): instead of rejecting, an
+  /// overloaded/busy batch, a text with no servable generation (quarantined
+  /// build lane) or a group that lost its index mid-serve is answered down
+  /// the ladder and the batch returns kDegraded with every slot written —
+  /// each answer tagged with its provenance and error bound
+  /// (QueryResult::provenance / error_bound). A deadline-expired batch
+  /// additionally fills *unreached* slots the same way (status stays
+  /// kDeadlineExceeded; provenance says which slots are degraded answers).
+  /// The table rung serves table-backed texts only (heap generation, no
+  /// pending SubmitText/UpdateText, no appends past the base): a pattern
+  /// resident in the pinned generation's H is answered from it, exactly —
+  /// kCached, error_bound 0, from_hash_table set. Every other slot goes to
+  /// the text's DegradedTier (kCached from its cache with from_hash_table
+  /// clear, or kApproximate from its sketch), else kNone. Off by default:
+  /// callers that cannot consume approximate answers keep the
+  /// fail-clean behavior (typed rejections).
   bool allow_degraded = false;
 };
 
@@ -266,9 +279,12 @@ struct UsiMultiStats {
   u64 appends = 0;      ///< AppendText calls absorbed service-wide.
   u64 compactions = 0;  ///< Delta compactions published service-wide.
   u64 degraded_batches = 0;  ///< Batches that returned kDegraded.
-  /// Individual queries answered by a tier rung (cache or sketch) instead
-  /// of an exact index; kNone filler slots are not counted.
+  /// Individual queries answered by a degraded rung (table H, cache or
+  /// sketch) instead of the exact path; kNone filler slots are not counted.
   u64 degraded_answers = 0;
+  /// Of degraded_answers, those the table rung answered: exact hits from
+  /// a table-backed text's pinned H (see MultiBatchOptions::allow_degraded).
+  u64 degraded_table_answers = 0;
 };
 
 /// Convenience return form of QueryBatch.
@@ -499,12 +515,9 @@ class UsiMultiService {
   ServeStatus ServeDegradedBatch(std::span<const MultiQuery> queries,
                                  std::span<QueryResult> results);
 
-  /// Fills \p indices' result slots from \p tier (kNone filler where no
-  /// rung answers); returns how many slots a rung actually answered.
-  std::size_t FillFromTier(DegradedTier* tier,
-                           std::span<const MultiQuery> queries,
-                           std::span<const u32> indices,
-                           std::span<QueryResult> results);
+  /// Adds one batch's degraded answers (\p table of them from the table
+  /// rung) to the service-wide counters.
+  void NoteDegraded(std::size_t answered, std::size_t table);
 
   ThreadPool* pool_ = nullptr;  ///< Borrowed, may be null.
   std::unique_ptr<ThreadPool> owned_pool_;
@@ -539,6 +552,7 @@ class UsiMultiService {
   std::atomic<u64> compactions_{0};
   std::atomic<u64> degraded_batches_{0};
   std::atomic<u64> degraded_answers_{0};
+  std::atomic<u64> degraded_table_answers_{0};
 };
 
 }  // namespace usi

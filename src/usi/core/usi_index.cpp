@@ -112,16 +112,21 @@ UsiIndex::UsiIndex(const WeightedString& ws, const UsiOptions& options,
 QueryResult UsiIndex::Query(std::span<const Symbol> pattern) const {
   QueryResult result;
   if (pattern.empty() || pattern.size() > ws_->size()) return result;
+  if (TableAnswer(pattern, &result)) return result;
+  return fallback_.Compute(pattern);
+}
+
+bool UsiIndex::TableAnswer(std::span<const Symbol> pattern,
+                           QueryResult* out) const {
+  if (pattern.empty() || pattern.size() > ws_->size()) return false;
   const u64 fp = hasher_.Hash(pattern);
   const PatternKey key{fp, static_cast<u32>(pattern.size())};
   const TableValue* value = table_.Find(key);
-  if (value != nullptr && value->count > 0) {
-    result.utility = value->Finalize(kind_);
-    result.occurrences = value->count;
-    result.from_hash_table = true;
-    return result;
-  }
-  return fallback_.Compute(pattern);
+  if (value == nullptr || value->count == 0) return false;
+  out->utility = value->Finalize(kind_);
+  out->occurrences = value->count;
+  out->from_hash_table = true;
+  return true;
 }
 
 namespace {

@@ -181,6 +181,13 @@ class UsiIndex : public QueryEngine {
   /// Safe to call concurrently (the index is immutable after construction).
   QueryResult Query(std::span<const Symbol> pattern) const;
 
+  /// The table half of Query: when \p pattern is resident in the top-K
+  /// table H, writes its exact utility and occurrence count to \p out
+  /// (from_hash_table = true) and returns true; otherwise returns false and
+  /// leaves \p out untouched. O(m), allocation-free, and safe to call
+  /// concurrently with anything (it never grows the hasher's power table).
+  bool TableAnswer(std::span<const Symbol> pattern, QueryResult* out) const;
+
   /// Batch-aware answer path, identical results to per-pattern Query but
   /// substantially cheaper: patterns are probed in sorted order so prefix
   /// fingerprints extend from the longest common prefix instead of being

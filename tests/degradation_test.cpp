@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <latch>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -623,6 +624,235 @@ TEST_F(DegradationTest, AppendsBesideReadersNeverLeaveStaleTierAnswers) {
   for (std::size_t i = 0; i < half; ++i) {
     EXPECT_EQ(results[i].provenance, AnswerProvenance::kCached) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The table rung: a table-backed group (heap generation, no newer declared
+// content, no appends) answers its table hits from the pinned H on every
+// degraded rung, so the tier records only the table misses.
+
+/// A text and pattern set with both table hits and misses: k = 40 keeps the
+/// short heavy patterns resident in H, the rest go to the SA path.
+UsiMultiServiceOptions TableRungOptions() {
+  UsiMultiServiceOptions options;
+  options.threads = 2;
+  options.default_build.k = 40;
+  return options;
+}
+
+std::size_t CountTableHits(const std::vector<QueryResult>& results) {
+  std::size_t hits = 0;
+  for (const QueryResult& r : results) hits += r.from_hash_table ? 1 : 0;
+  return hits;
+}
+
+/// One degraded batch of a table-backed group: every slot within its bound,
+/// the exact path's table hits answered by H (kCached, bound 0,
+/// from_hash_table set), and every miss answered by the tier.
+void ExpectTableRung(const std::vector<QueryResult>& got,
+                     const std::vector<QueryResult>& want,
+                     const std::vector<QueryResult>& exact) {
+  ExpectWithinBounds(got, want);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::size_t p = i % exact.size();
+    if (exact[p].from_hash_table) {
+      EXPECT_EQ(got[i].provenance, AnswerProvenance::kCached) << i;
+      EXPECT_TRUE(got[i].from_hash_table) << i;
+    } else {
+      EXPECT_NE(got[i].provenance, AnswerProvenance::kNone) << i;
+      EXPECT_FALSE(got[i].from_hash_table) << "misses come from the tier";
+    }
+  }
+}
+
+TEST_F(DegradationTest, TableBackedGroupRecordsOnlyTableMisses) {
+  UsiMultiService service(TableRungOptions());
+  const WeightedString ws = IntegerWeighted(400, 3, 0xB1);
+  service.SubmitText("t", ws);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  const std::vector<Text> patterns = AllShortPatterns(3, 4);
+  const std::vector<MultiQuery> queries = QueriesFor("t", patterns);
+  std::vector<QueryResult> results(queries.size());
+  ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+  const std::size_t hits = CountTableHits(results);
+  ASSERT_GT(hits, 0u);
+  ASSERT_LT(hits, results.size());
+
+  const DegradedTierStats tier = service.StatsFor("t")->degraded.value();
+  EXPECT_EQ(tier.records, results.size() - hits)
+      << "a table-backed group records exactly its table misses";
+  EXPECT_EQ(tier.record_drops, 0u);
+  EXPECT_EQ(tier.stale_drops, 0u);
+}
+
+TEST_F(DegradationTest, TableRungAnswersHitsExactlyOnEveryRung) {
+  UsiMultiServiceOptions options = TableRungOptions();
+  options.max_inflight_batches = 1;  // Any concurrent pair sheds.
+  UsiMultiService service(options);
+  const WeightedString ws = IntegerWeighted(400, 3, 0xB2);
+  service.SubmitText("t", ws);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  const std::vector<Text> patterns = AllShortPatterns(3, 4);
+  const std::vector<MultiQuery> queries = QueriesFor("t", patterns);
+  const std::vector<QueryResult> want = BruteAnswers(ws, patterns);
+  std::vector<QueryResult> exact(queries.size());
+  ASSERT_EQ(service.QueryBatchInto(queries, exact), ServeStatus::kOk);
+  ExpectWithinBounds(exact, want);
+  const std::size_t hits = CountTableHits(exact);
+  ASSERT_GT(hits, 0u);
+  ASSERT_LT(hits, exact.size());
+
+  // Deadline rung.
+  std::vector<QueryResult> results(queries.size());
+  EXPECT_EQ(service.QueryBatchInto(queries, results, ExpiredDegraded()),
+            ServeStatus::kDeadlineExceeded);
+  ExpectTableRung(results, want, exact);
+  EXPECT_EQ(service.stats().degraded_table_answers, hits);
+  EXPECT_EQ(service.stats().degraded_answers, queries.size());
+
+  // Overload shed: concurrent copies of a long batch; the one over the
+  // in-flight cap pins the text and answers down the same ladder.
+  constexpr int kRepeats = 20;
+  std::vector<MultiQuery> big;
+  std::vector<QueryResult> big_want;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    big.insert(big.end(), queries.begin(), queries.end());
+    big_want.insert(big_want.end(), want.begin(), want.end());
+  }
+  MultiBatchOptions degrade;
+  degrade.allow_degraded = true;
+  std::mutex shed_mu;
+  std::vector<std::vector<QueryResult>> shed;
+  for (int round = 0; round < 50 && shed.empty(); ++round) {
+    constexpr int kThreads = 4;
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        std::vector<QueryResult> got(big.size());
+        start.arrive_and_wait();
+        if (service.QueryBatchInto(big, got, degrade) ==
+            ServeStatus::kDegraded) {
+          std::lock_guard<std::mutex> lock(shed_mu);
+          shed.push_back(std::move(got));
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  ASSERT_FALSE(shed.empty()) << "no batch was ever shed";
+  for (const std::vector<QueryResult>& got : shed) {
+    ExpectTableRung(got, big_want, exact);
+  }
+  EXPECT_EQ(service.stats().degraded_table_answers,
+            hits + shed.size() * kRepeats * hits);
+
+  // Fault rung.
+  if (failpoint::kEnabled) {
+    failpoint::Arm("serve.mapped_fault", failpoint::Action::kError,
+                   /*fires=*/1);
+    EXPECT_EQ(service.QueryBatchInto(queries, results, degrade),
+              ServeStatus::kDegraded);
+    ExpectTableRung(results, want, exact);
+    EXPECT_EQ(service.stats().degraded_table_answers,
+              2 * hits + shed.size() * kRepeats * hits);
+  }
+}
+
+TEST_F(DegradationTest, PendingUpdateTurnsTheTableRungOff) {
+  // A 1-wide injected pool whose worker is parked: UpdateText's build
+  // cannot start, so the old generation keeps serving while new content is
+  // declared. Its H no longer describes the text, so no rung may use it.
+  ThreadPool pool(1);
+  UsiMultiService service(&pool, TableRungOptions());
+  const WeightedString ws1 = IntegerWeighted(400, 3, 0xB3);
+  const WeightedString ws2 = IntegerWeighted(420, 3, 0xB4);
+  service.SubmitText("t", ws1);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  const std::vector<Text> patterns = AllShortPatterns(3, 4);
+  const std::vector<MultiQuery> queries = QueriesFor("t", patterns);
+  std::vector<QueryResult> results(queries.size());
+  ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+  const std::size_t hits = CountTableHits(results);
+  ASSERT_GT(hits, 0u);
+  EXPECT_EQ(service.QueryBatchInto(queries, results, ExpiredDegraded()),
+            ServeStatus::kDeadlineExceeded);
+  ASSERT_EQ(service.stats().degraded_table_answers, hits);
+
+  std::latch started(1);
+  std::latch release(1);
+  pool.Run([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  service.UpdateText("t", ws2);
+  EXPECT_EQ(service.QueryBatchInto(queries, results, ExpiredDegraded()),
+            ServeStatus::kDeadlineExceeded);
+  for (const QueryResult& r : results) {
+    EXPECT_EQ(r.provenance, AnswerProvenance::kNone)
+        << "neither ws1's H nor ws1's tier answers may describe ws2";
+  }
+  EXPECT_EQ(service.stats().degraded_table_answers, hits);
+
+  // Meanwhile the old generation is no longer table-backed: it records
+  // every answer it serves.
+  const u64 records_before = service.StatsFor("t")->degraded->records;
+  ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+  EXPECT_EQ(service.StatsFor("t")->degraded->records,
+            records_before + queries.size());
+
+  // The new generation's publish turns the rung back on, over ws2.
+  release.count_down();
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+  EXPECT_EQ(service.QueryBatchInto(queries, results, ExpiredDegraded()),
+            ServeStatus::kDeadlineExceeded);
+  ExpectWithinBounds(results, BruteAnswers(ws2, patterns));
+  EXPECT_GT(service.stats().degraded_table_answers, hits);
+}
+
+TEST_F(DegradationTest, LiveOverlayRecordsEveryAnswer) {
+  UsiMultiServiceOptions options = TableRungOptions();
+  options.delta_compact_threshold = 0;  // Keep the overlay live.
+  UsiMultiService service(options);
+  const WeightedString base = IntegerWeighted(400, 3, 0xB5);
+  service.SubmitText("t", base);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  // Appended symbol 3 never occurs in the base, so patterns without it
+  // keep their base answers (table hits stay hits) while patterns ending
+  // in it cross the boundary.
+  Text full = base.text();
+  std::vector<double> weights = base.weights();
+  for (const double w : {2.0, 3.0}) {
+    ASSERT_EQ(service.AppendText("t", Text(1, Symbol{3}),
+                                 std::vector<double>{w}),
+              ServeStatus::kOk);
+    full.push_back(Symbol{3});
+    weights.push_back(w);
+  }
+  const std::vector<Text> patterns = AllShortPatterns(4, 3);
+  const std::vector<MultiQuery> queries = QueriesFor("t", patterns);
+  const std::vector<QueryResult> want =
+      BruteAnswers(WeightedString(full, weights), patterns);
+  std::vector<QueryResult> results(queries.size());
+  ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+  ExpectWithinBounds(results, want);
+  ASSERT_GT(CountTableHits(results), 0u);
+  EXPECT_EQ(service.StatsFor("t")->degraded->records, queries.size())
+      << "a group with appends past its base records every answer";
+
+  EXPECT_EQ(service.QueryBatchInto(queries, results, ExpiredDegraded()),
+            ServeStatus::kDeadlineExceeded);
+  ExpectWithinBounds(results, want);
+  for (const QueryResult& r : results) {
+    EXPECT_NE(r.provenance, AnswerProvenance::kNone);
+    EXPECT_FALSE(r.from_hash_table) << "the base's H misses the appends";
+  }
+  EXPECT_EQ(service.stats().degraded_table_answers, 0u);
 }
 
 // ---------------------------------------------------------------------------

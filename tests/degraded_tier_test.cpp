@@ -156,7 +156,8 @@ TEST(DegradedTier, ClearBumpsTheEpochAndStaleRecordsAreDropped) {
   tier.Clear();
   EXPECT_EQ(tier.epoch(), pinned + 1);
   // ...and the batch's late record describes the old content: dropped.
-  tier.RecordExact(key, Exact(5.0, 2), pinned);
+  const QueryResult late = Exact(5.0, 2);
+  tier.RecordExact({&key, 1}, {&late, 1}, pinned);
   QueryResult got;
   EXPECT_FALSE(tier.TryAnswer(key, &got))
       << "a record tagged with a stale epoch must never be replayed";
@@ -169,16 +170,43 @@ TEST(DegradedTier, ClearBumpsTheEpochAndStaleRecordsAreDropped) {
   EXPECT_EQ(stats.epoch, pinned + 1);
 
   // A record tagged with the current epoch lands.
-  tier.RecordExact(key, Exact(6.0, 3), tier.epoch());
+  const QueryResult current = Exact(6.0, 3);
+  tier.RecordExact({&key, 1}, {&current, 1}, tier.epoch());
   ASSERT_TRUE(tier.TryAnswer(key, &got));
   EXPECT_EQ(got.utility, 6.0);
   EXPECT_EQ(got.occurrences, 3u);
 
-  // A group-level skip is counted the same way.
-  tier.NoteStaleDrops(7);
+  // A whole stale group is dropped, every record counted.
+  const std::vector<PatternKey> group_keys(7, key);
+  const std::vector<QueryResult> group_results(7, Exact(7.0, 4));
+  tier.RecordExact(group_keys, group_results, pinned);
   stats = tier.stats();
   EXPECT_EQ(stats.stale_drops, 8u);
   EXPECT_EQ(stats.records, 1u);
+  ASSERT_TRUE(tier.TryAnswer(key, &got));
+  EXPECT_EQ(got.utility, 6.0);
+}
+
+TEST(DegradedTier, GroupRecordLandsEveryAnswer) {
+  DegradedTier tier;
+  std::vector<PatternKey> keys;
+  std::vector<QueryResult> results;
+  for (int i = 0; i < 5; ++i) {
+    const Text pattern = {Symbol{7}, static_cast<Symbol>(i), Symbol{9}};
+    keys.push_back(DegradedTier::KeyFor(pattern));
+    results.push_back(Exact(1.5 * (i + 1), static_cast<index_t>(i + 1)));
+  }
+  tier.RecordExact(keys, results, tier.epoch());
+  const DegradedTierStats stats = tier.stats();
+  EXPECT_EQ(stats.records, keys.size());
+  EXPECT_EQ(stats.stale_drops, 0u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    QueryResult got;
+    ASSERT_TRUE(tier.TryAnswer(keys[i], &got)) << i;
+    EXPECT_EQ(got.provenance, AnswerProvenance::kCached) << i;
+    EXPECT_EQ(got.utility, results[i].utility) << i;
+    EXPECT_EQ(got.occurrences, results[i].occurrences) << i;
+  }
 }
 
 /// One tier's full observable answer state for \p keys, in order. Every

@@ -7,6 +7,7 @@
 // batches.
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -203,17 +204,60 @@ TEST(QueryAlloc, DegradedTierClearAllocatesNothing) {
   for (const PatternKey& key : keys) tier.RecordExact(key, answer);
   ASSERT_GT(tier.stats().cache_size, 0u);
   ASSERT_GT(tier.stats().sketched_keys, 0u);
+  const std::vector<QueryResult> answers(keys.size(), answer);
 
   const std::size_t before = AllocationsNow();
   for (int round = 0; round < 4; ++round) {
     tier.Clear();
-    for (const PatternKey& key : keys) {  // Refill the new epoch.
-      tier.RecordExact(key, answer, tier.epoch());
-    }
+    tier.RecordExact(keys, answers, tier.epoch());  // Refill the new epoch.
   }
   const std::size_t after = AllocationsNow();
   EXPECT_EQ(after, before) << "Clear() on a filled tier must not allocate";
   EXPECT_GT(tier.stats().cache_size, 0u);
+}
+
+TEST(QueryAlloc, TableRungDegradedBatchAllocatesNothing) {
+  // A degraded batch of a table-backed text answers its table hits from
+  // the pinned generation's H and its misses from the tier: both rungs
+  // share the hot path's contract once the routing scratch is warm.
+  UsiMultiServiceOptions options;
+  options.threads = 1;  // Inline serving: the measured path is this thread.
+  options.default_build.k = 100;
+  UsiMultiService service(options);
+  const WeightedString ws = testing::RandomWeighted(2'000, 4, 0x7AB1E);
+  service.SubmitText("t", ws);
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+
+  Rng rng(0x7AB1F);
+  std::vector<Text> patterns;
+  for (int i = 0; i < 200; ++i) {
+    const index_t start = static_cast<index_t>(rng.UniformBelow(ws.size()));
+    const index_t max_len = std::min<index_t>(8, ws.size() - start);
+    patterns.push_back(ws.Fragment(
+        start, static_cast<index_t>(rng.UniformInRange(1, max_len))));
+  }
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"t", p});
+  std::vector<QueryResult> results(queries.size());
+  ASSERT_EQ(service.QueryBatchInto(queries, results), ServeStatus::kOk);
+
+  MultiBatchOptions expired;
+  expired.allow_degraded = true;
+  expired.deadline =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  service.QueryBatchInto(queries, results, expired);  // Warm-up.
+  ASSERT_GT(service.stats().degraded_table_answers, 0u);
+  ASSERT_LT(service.stats().degraded_table_answers, queries.size())
+      << "the batch must also exercise the tier rung";
+
+  const std::size_t before = AllocationsNow();
+  for (int round = 0; round < 5; ++round) {
+    ASSERT_EQ(service.QueryBatchInto(queries, results, expired),
+              ServeStatus::kDeadlineExceeded);
+  }
+  const std::size_t after = AllocationsNow();
+  EXPECT_EQ(after, before)
+      << "steady-state table-rung degraded batches must not touch the heap";
 }
 
 TEST(QueryAlloc, SteadyStateServeWithDeltaAllocatesNothing) {

@@ -807,6 +807,61 @@ TEST_F(ReliabilityTest, MappedFaultRecoveryNeverClobbersQueuedUpdate) {
   std::remove(path.c_str());
 }
 
+TEST_F(ReliabilityTest, SupersededQueuedBuildIsSkippedUnbuilt) {
+  if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
+  const WeightedString ws1 = RandomWeighted(3000, 8, 141);
+  const WeightedString ws2 = RandomWeighted(3000, 8, 142);
+  UsiOptions build;
+  build.k = 150;
+  build.threads = 1;
+  const std::string path = ::testing::TempDir() + "reliab_superseded.bin";
+  ASSERT_TRUE(
+      UsiIndex(ws2, build).SaveToFile(path, IndexFileFormat::kV3Mapped));
+
+  // Park the only worker: the submit's build queues behind it, and the
+  // registration publishes a newer generation before the build can start.
+  ThreadPool pool(1);
+  std::latch started(1);
+  std::latch release(1);
+  pool.Run([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();
+  UsiMultiServiceOptions options;
+  options.default_build = build;
+  UsiMultiService service(&pool, options);
+  EXPECT_EQ(service.SubmitText("t", ws1), 1u);
+  EXPECT_EQ(service.RegisterTextFromFile("t", ws2, path), 2u);
+
+  // Counts evaluations of the build site without ever firing.
+  failpoint::Arm("multi.build", failpoint::Action::kError, /*fires=*/0,
+                 /*skip=*/1'000'000);
+  release.count_down();
+  ASSERT_EQ(service.WaitForText("t"), BuildState::kReady);
+  EXPECT_EQ(failpoint::HitCount("multi.build"), 0u)
+      << "a job superseded before it starts must not build";
+
+  const std::optional<UsiTextStats> stats = service.StatsFor("t");
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->generation, 2u);
+  EXPECT_EQ(stats->builds_completed, 2u);
+  const std::vector<Text> patterns = PatternsFor(ws2, 143);
+  std::vector<MultiQuery> queries;
+  for (const Text& p : patterns) queries.push_back({"t", p});
+  const MultiBatchResult batch = service.QueryBatch(queries);
+  ASSERT_EQ(batch.status, ServeStatus::kOk);
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const QueryResult want =
+        testing::BruteUtility(ws2, patterns[i], GlobalUtilityKind::kSum);
+    EXPECT_EQ(batch.results[i].occurrences, want.occurrences)
+        << "pattern " << i;
+    EXPECT_NEAR(batch.results[i].utility, want.utility, 1e-9)
+        << "pattern " << i;
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(ReliabilityTest, ServiceContainsEngineExceptions) {
   if (!failpoint::kEnabled) GTEST_SKIP() << "built without USI_FAILPOINTS";
   const WeightedString ws = RandomWeighted(2000, 8, 111);

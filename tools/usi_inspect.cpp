@@ -13,9 +13,11 @@
 //       End-to-end check run by CTest: builds a small index, saves it,
 //       validates the image through the info path, opens it, verifies that
 //       re-saving the opened image reproduces the original bytes and that
-//       its answers match, and drives the degraded tier (exact batches feed
-//       it, the cache rung replays them exactly, the sketch rung honors its
-//       bound, and a deadline-expired allow_degraded batch serves from it).
+//       its answers match, and drives the degradation ladder (exact batches
+//       feed the tier their table misses; a deadline-expired allow_degraded
+//       batch answers table hits from the generation's table H, exactly,
+//       and misses from the tier: the cache rung replays them exactly, the
+//       sketch rung honors its bound). Each slot's rung is printed.
 
 #include <chrono>
 #include <cstdio>
@@ -364,11 +366,12 @@ int Selftest() {
   std::remove(rt_path.c_str());
   std::remove(nolearn_path.c_str());
 
-  // Degraded-tier coverage: serve an exact batch through a multi-service
-  // (which feeds the text's tier), check the tier telemetry surfaces via
-  // StatsFor, then re-serve the same batch with an already-expired deadline
-  // and allow_degraded — every slot must be filled from the tier, and every
-  // tier answer must sit within [exact, exact + error_bound].
+  // Degradation-ladder coverage: serve an exact batch through a
+  // multi-service (which feeds the text's tier its table misses), check the
+  // tier telemetry surfaces via StatsFor, then re-serve the same batch with
+  // an already-expired deadline and allow_degraded. Every table-rung answer
+  // (kCached with from_hash_table set) must equal the exact batch, and
+  // every tier answer must sit within [exact, exact + error_bound].
   {
     UsiMultiServiceOptions service_options;
     service_options.threads = 1;
@@ -401,12 +404,24 @@ int Selftest() {
         ServeStatus::kDeadlineExceeded) {
       return fail("tier deadline status");
     }
+    std::size_t table_answers = 0;
     for (std::size_t i = 0; i < degraded.size(); ++i) {
       const QueryResult& got = degraded[i];
+      const QueryResult& want = exact_batch.results[i];
       if (got.provenance == AnswerProvenance::kNone) continue;
-      if (got.utility + 1e-9 < exact_batch.results[i].utility ||
-          got.utility > exact_batch.results[i].utility + got.error_bound +
-                            1e-9) {
+      if (got.from_hash_table) {
+        // Table rung: H answers exactly what the exact path served.
+        if (got.provenance != AnswerProvenance::kCached ||
+            got.error_bound != 0 || !want.from_hash_table ||
+            got.utility != want.utility ||
+            got.occurrences != want.occurrences) {
+          return fail("table-rung answer differs from the exact batch");
+        }
+        ++table_answers;
+        continue;
+      }
+      if (got.utility + 1e-9 < want.utility ||
+          got.utility > want.utility + got.error_bound + 1e-9) {
         return fail("tier answer outside its bound");
       }
     }
@@ -414,6 +429,24 @@ int Selftest() {
     if (after.lookups == 0 || after.cache_hits + after.sketch_answers == 0) {
       return fail("tier never consulted");
     }
+    if (table_answers == 0) return fail("table rung never answered");
+    const UsiMultiStats service_stats = service.stats();
+    if (service_stats.degraded_table_answers != table_answers) {
+      return fail("table-rung counter disagrees with the batch");
+    }
+    std::printf("degraded batch, rung per slot (T = table H, C = tier "
+                "cache, S = sketch, - = none):\n  ");
+    for (const QueryResult& got : degraded) {
+      std::putchar(got.from_hash_table ? 'T'
+                   : got.provenance == AnswerProvenance::kCached ? 'C'
+                   : got.provenance == AnswerProvenance::kApproximate ? 'S'
+                                                                       : '-');
+    }
+    std::printf("\n  %llu of %llu degraded answers from the table rung\n",
+                static_cast<unsigned long long>(
+                    service_stats.degraded_table_answers),
+                static_cast<unsigned long long>(
+                    service_stats.degraded_answers));
     std::printf("degraded tier after selftest traffic:\n");
     PrintDegradedTier(after);
   }
